@@ -1,13 +1,14 @@
 #!/usr/bin/env python3
 """Bench regression gate: diff a fresh bench JSON against the checked-in
-baseline and fail on a >25% regression of the snapshot / injection metrics.
+baseline and fail on a >25% regression of the transport / injection /
+coordinator / service metrics.
 
 Usage: bench/check_regression.py BASELINE.json CURRENT.json [--tolerance 0.25]
 
 The compared quantities are dimensionless within-run ratios, not absolute
 ns/ops numbers: CI runners and dev boxes differ in clock speed by far more
-than any real regression, but (for example) "incremental snapshot with one
-dirty shard vs full rebuild on the same machine in the same run" is
+than any real regression, but (for example) "4-producer contended injection
+vs one submitter on the same machine in the same run" is
 machine-independent. A metric missing from either file (e.g. micro_bench
 unavailable) is reported and skipped, not failed — the bench-smoke job's
 purpose is catching real regressions, not flaking on environment gaps.
@@ -42,18 +43,6 @@ def ratio(a, b):
     if a is None or b is None or b == 0:
         return None
     return a / b
-
-
-def snapshot_incremental(d):
-    """One dirty shard of 128 muscles vs all shards dirty. Lower is better."""
-    return ratio(get(d, "estimate_snapshot_ns", "dirty_128"),
-                 get(d, "estimate_snapshot_ns", "dirty_all_128"))
-
-
-def snapshot_clean(d):
-    """Clean (cached) snapshot vs the one-dirty-shard rebuild. Lower is better."""
-    return ratio(get(d, "estimate_snapshot_ns", "clean_128"),
-                 get(d, "estimate_snapshot_ns", "dirty_128"))
 
 
 def lease_batch_speedup(d):
@@ -106,8 +95,6 @@ def slo_attainment_ratio(d):
 # collapsing toward 1.0 = "no better than FIFO") failing loudly without
 # flaking on the known full-vs-smoke offset.
 METRICS = [
-    ("snapshot_incremental_vs_full", snapshot_incremental, False, None),
-    ("snapshot_clean_vs_dirty", snapshot_clean, False, None),
     ("lease_batching_k16_speedup", lease_batch_speedup, True, None),
     ("tcp_batching_k16_speedup", tcp_batching_speedup, True, None),
     ("inject_contended_vs_single", inject_contended, True, None),

@@ -181,8 +181,7 @@ void BM_EstimatorObserve(benchmark::State& state) {
 BENCHMARK(BM_EstimatorObserve);
 
 // Contended observes: state machines on different workers record different
-// muscles into ONE shared registry — the case the muscle-id-sharded locks
-// target (the seed serialized all of them on a single mutex).
+// muscles into ONE shared registry, all serialized on its single mutex.
 void BM_EstimatorObserve_Contended(benchmark::State& state) {
   static EstimateRegistry* reg = nullptr;
   if (state.thread_index() == 0) reg = new EstimateRegistry(0.5);
@@ -200,8 +199,8 @@ void BM_EstimatorObserve_Contended(benchmark::State& state) {
 BENCHMARK(BM_EstimatorObserve_Contended)->Threads(4)->UseRealTime();
 
 // Controller decision loop cost: back-to-back snapshots with no intervening
-// writes. The versioned registry must answer from its cached snapshot (O(1));
-// the seed deep-copied the whole stats map every call.
+// writes. Each one copies every entry under the registry lock, O(entries);
+// real registries hold one skeleton's 2-12 muscles.
 void BM_EstimateSnapshot_Clean(benchmark::State& state) {
   EstimateRegistry reg(0.5, EstimationScope::kPerDepth);
   for (int m = 0; m < static_cast<int>(state.range(0)); ++m) {
@@ -213,38 +212,6 @@ void BM_EstimateSnapshot_Clean(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_EstimateSnapshot_Clean)->Arg(16)->Arg(128)->Arg(1024);
-
-// Write-then-snapshot with ONE dirty muscle: under the sharded registry the
-// rebuild touches only that muscle's fragment and splices the other
-// kEstimateFragments-1 by shared_ptr bump — O(dirty), not O(muscles).
-void BM_EstimateSnapshot_Dirty(benchmark::State& state) {
-  EstimateRegistry reg(0.5);
-  for (int m = 0; m < static_cast<int>(state.range(0)); ++m) {
-    reg.observe_duration(m, 1.0);
-  }
-  for (auto _ : state) {
-    reg.observe_duration(0, 1.0);
-    benchmark::DoNotOptimize(reg.snapshot().size());
-  }
-}
-BENCHMARK(BM_EstimateSnapshot_Dirty)->Arg(16)->Arg(128);
-
-// Every shard dirty between snapshots (one write per fragment): the honest
-// full-rebuild bound the incremental path degrades to when everything moved.
-void BM_EstimateSnapshot_DirtyAll(benchmark::State& state) {
-  EstimateRegistry reg(0.5);
-  const int muscles = static_cast<int>(state.range(0));
-  for (int m = 0; m < muscles; ++m) reg.observe_duration(m, 1.0);
-  for (auto _ : state) {
-    // Muscle id m lands in fragment m % kEstimateFragments, so ids
-    // 0..kEstimateFragments-1 dirty every shard.
-    for (int m = 0; m < static_cast<int>(kEstimateFragments); ++m) {
-      reg.observe_duration(m, 1.0);
-    }
-    benchmark::DoNotOptimize(reg.snapshot().size());
-  }
-}
-BENCHMARK(BM_EstimateSnapshot_DirtyAll)->Arg(128);
 
 // ---------------------------------------------------------------- runtime --
 

@@ -4,7 +4,7 @@
 # distills the numbers every perf PR tracks into BENCH_PR<N>.json:
 #   * EventBus dispatch ns/op (0/1/4/16 listeners, 4-thread contended),
 #   * pool churn tasks/sec at LP in {1, 4, 8},
-#   * EstimateRegistry snapshot cost, clean (cached) vs dirty (rebuild),
+#   * EstimateRegistry snapshot cost (back-to-back, 16/128/1024 muscles),
 #   * multi-tenant staggered: K=4 controllers on one budget, run under BOTH
 #     arbitration policies (deadline-pressure and weighted-share),
 #   * multi-tenant aggressor: victim vs flooding aggressor, weighted
@@ -15,8 +15,7 @@
 #   * transport/backend comparison (PR 5): real subprocess-worker join
 #     latency vs the simulated provision delay, the per-task transport
 #     bracket cost, and fig5 under --backend thread vs subprocess,
-#   * raw-speed pass (PR 6): incremental-snapshot cost (one dirty shard vs
-#     all shards dirty), the lease-batching sweep (K in {1,4,16,64}), the
+#   * raw-speed pass: the lease-batching sweep (K in {1,4,16,64}), the
 #     injection-queue comparison (retired mutex+deque vs lock-free MPSC)
 #     and the per-LP scaling curve. Multi-tenant staggered traffic is now
 #     Zipf-skewed (--zipf-skew 1.1) instead of uniform,
@@ -198,9 +197,6 @@ out = {
         "clean_16": ns("BM_EstimateSnapshot_Clean/16"),
         "clean_128": ns("BM_EstimateSnapshot_Clean/128"),
         "clean_1024": ns("BM_EstimateSnapshot_Clean/1024"),
-        "dirty_16": ns("BM_EstimateSnapshot_Dirty/16"),
-        "dirty_128": ns("BM_EstimateSnapshot_Dirty/128"),
-        "dirty_all_128": ns("BM_EstimateSnapshot_DirtyAll/128"),
     },
     "multi_tenant": {
         "staggered_pressure": mt_pressure,

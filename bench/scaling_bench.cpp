@@ -193,8 +193,7 @@ ScalePoint measure_scale_point(int lp, int rounds, int snap_iters) {
     out.snap_dirty_ns = acc / snap_iters * 1e9;
     stop.store(true, std::memory_order_release);
     for (auto& t : writers) t.join();
-    // Writers quiesced: back-to-back snapshots answer from the clean cache.
-    (void)reg.snapshot();
+    // Writers quiesced: the same snapshot with no lock contention.
     double acc2 = 0.0;
     for (int k = 0; k < snap_iters; ++k) {
       const double t0 = now_s();

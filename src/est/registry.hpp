@@ -18,29 +18,15 @@
 // Observations always record BOTH layers, so the scope can be chosen at
 // lookup time and snapshots carry everything.
 //
-// Concurrency layout (hot paths scale with work done, not state size):
-//  * writes and point lookups lock only one of kEstimateFragments
-//    muscle-id-sharded mutexes (both layers of a muscle live in the same
-//    shard), so state machines on different workers updating different
-//    muscles never contend;
-//  * every write bumps its shard's version (under the shard lock) and a
-//    global atomic version counter;
-//  * `Estimates` is fragmented along the same muscle-id sharding. snapshot()
-//    keeps a per-shard fragment cache: a rebuild copies only the shards
-//    written since the previous snapshot and splices every clean shard in by
-//    shared_ptr bump — O(dirty shards), not O(muscles);
-//  * the clean path (no writes at all since the last snapshot) is lock-free:
-//    one atomic version load plus a cached shared_ptr bump.
+// Concurrency: one mutex guards the whole registry. A registry serves one
+// skeleton, so it holds a handful of entries, and a snapshot is read once per
+// Analyze step; copying those entries under the lock costs far less than the
+// step that consumes them.
 
-#include <array>
-#include <atomic>
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <optional>
-#include <string>
 #include <unordered_map>
-#include <vector>
 
 #include "est/estimator.hpp"
 #include "est/muscle_stats.hpp"
@@ -55,32 +41,14 @@ enum class EstimationScope : int {
 /// Depth value representing the aggregate (depth-less) layer.
 inline constexpr int kAnyDepth = -1;
 
-/// Shard fan-out shared by EstimateRegistry and Estimates. The two MUST use
-/// the same muscle-id -> shard mapping so a registry shard rebuilds exactly
-/// one snapshot fragment.
-inline constexpr std::size_t kEstimateFragments = 16;
-
 /// Composite key: (muscle id, depth). Depth kAnyDepth = aggregate layer.
 std::int64_t estimate_key(int muscle_id, int depth);
 /// Inverse of estimate_key.
 int estimate_key_muscle(std::int64_t key);
 int estimate_key_depth(std::int64_t key);
 
-/// Immutable value snapshot of the registry.
-///
-/// Internally fragmented along the registry's muscle-id sharding: each of
-/// kEstimateFragments fragments is an independently shared map, and the
-/// fragment-pointer array itself sits behind one more shared_ptr. Copying an
-/// Estimates is therefore a SINGLE refcount bump (the controller's
-/// back-to-back clean-snapshot case — atomic refcounts are lock-prefixed RMWs
-/// once the process is multithreaded, so one bump vs sixteen is measurable);
-/// a mutation copy-on-shared-writes the pointer array once and then only the
-/// one fragment the touched muscle lives in. This keeps snapshot()
-/// value-semantic — callers may still hold or mutate their copy freely —
-/// while letting the registry splice unchanged fragments between successive
-/// snapshots without copying them. Mutating one instance concurrently with
-/// copying that same instance is not supported (value semantics, same as any
-/// standard container).
+/// Value snapshot of the registry: a plain map of estimate values. Copies
+/// are independent, so callers may hold or mutate theirs freely.
 class Estimates {
  public:
   struct Entry {
@@ -88,13 +56,6 @@ class Estimates {
     std::optional<double> card;
   };
   using Map = std::unordered_map<std::int64_t, Entry>;
-
-  static constexpr std::size_t kFragments = kEstimateFragments;
-  /// Fragment a muscle's entries live in (same mapping as the registry's
-  /// shard_for — keep the casts identical).
-  static std::size_t fragment_of(int muscle_id) {
-    return static_cast<std::size_t>(muscle_id) % kFragments;
-  }
 
   /// Aggregate lookups (depth-less).
   std::optional<double> t(int muscle_id) const;
@@ -116,44 +77,21 @@ class Estimates {
   EstimationScope scope() const { return scope_; }
   void set_scope(EstimationScope s) { scope_ = s; }
 
-  std::size_t size() const;
+  std::size_t size() const { return map_.size(); }
 
-  /// Visit every (composite key, entry) pair across all fragments.
-  /// Iteration order is unspecified (it was never specified for the old
-  /// single-map layout either).
+  /// Visit every (composite key, entry) pair. Iteration order is unspecified.
   template <class F>
   void for_each(F&& f) const {
-    if (!frags_) return;
-    for (const auto& frag : *frags_) {
-      if (!frag) continue;
-      for (const auto& [key, entry] : *frag) f(key, entry);
-    }
-  }
-
-  /// The shared fragment map at index `i` (null = empty). Exposed so tests
-  /// can verify storage sharing/splicing and so the registry can splice
-  /// clean fragments directly.
-  std::shared_ptr<const Map> fragment(std::size_t i) const {
-    return frags_ ? (*frags_)[i] : nullptr;
-  }
-  /// Registry-side splice: install a prebuilt fragment.
-  void set_fragment(std::size_t i, std::shared_ptr<const Map> frag) {
-    mutable_frags()[i] = std::move(frag);
+    for (const auto& [key, entry] : map_) f(key, entry);
   }
 
  private:
-  using FragArray = std::array<std::shared_ptr<const Map>, kFragments>;
+  friend class EstimateRegistry;  // snapshot() fills map_ directly
 
-  const Map* frag_for(int muscle_id) const {
-    return frags_ ? (*frags_)[fragment_of(muscle_id)].get() : nullptr;
-  }
-  FragArray& mutable_frags();
-  Map& mutable_fragment(std::size_t i);
+  const Entry* find(int muscle_id, int depth) const;
 
   EstimationScope scope_ = EstimationScope::kAggregate;
-  // const FragArray of const Maps: both levels are immutable once shared; a
-  // write clones the array (and the touched fragment) first. Null = empty.
-  std::shared_ptr<const FragArray> frags_{};
+  Map map_;
 };
 
 class EstimateRegistry {
@@ -164,9 +102,8 @@ class EstimateRegistry {
 
   /// Estimator-family constructor (per-scope factory): every muscle entry in
   /// this registry — both layers, duration and cardinality — is estimated by
-  /// a fresh clone of the configured estimator. The versioned/COW snapshot
-  /// semantics are estimator-agnostic: snapshots carry values, not
-  /// estimator state.
+  /// a fresh clone of the configured estimator. Snapshots carry values, not
+  /// estimator state, so their semantics are estimator-agnostic.
   explicit EstimateRegistry(const EstimatorConfig& estimator,
                             EstimationScope scope = EstimationScope::kAggregate);
 
@@ -191,20 +128,11 @@ class EstimateRegistry {
   std::optional<double> t(int muscle_id, int depth) const;
   std::optional<double> cardinality(int muscle_id, int depth) const;
 
-  /// Consistent snapshot of everything. Lock-free when nothing was written
-  /// since the previous call (the controller's back-to-back decision case):
-  /// one version load + a cached shared_ptr bump. Otherwise rebuilds ONLY
-  /// the shards written since the last snapshot — locking only those shards
-  /// — and splices the rest in by shared_ptr bump: O(dirty shards), not
-  /// O(muscles). A global-version recheck (bounded retry, then a lock-all
-  /// fallback) keeps the result a coherent cut even though clean shards are
-  /// spliced without their locks.
+  /// Consistent snapshot of everything, built under the registry lock.
   Estimates snapshot() const;
   /// Monotonic write counter; bumped by every observe/init/clear. Exposed
   /// for tests and monitoring ("did anything change since I last looked?").
-  std::uint64_t version() const {
-    return version_.load(std::memory_order_acquire);
-  }
+  std::uint64_t version() const;
   /// Smoothing of the configured estimator (meaningful for kEwma; kept for
   /// the pre-estimator-family API).
   double rho() const { return est_cfg_.rho; }
@@ -214,47 +142,15 @@ class EstimateRegistry {
   void clear();
 
  private:
-  // One shard per group of muscle ids; both layers (aggregate + per-depth)
-  // of a muscle live in its shard, so point lookups with depth fallback
-  // still take a single lock. Shard index == Estimates fragment index.
-  static constexpr std::size_t kShards = kEstimateFragments;
-  struct Shard {
-    mutable std::mutex mu;
-    std::unordered_map<std::int64_t, MuscleStats> stats;
-    // Bumped (store-release) under mu by every write to this shard. Atomic
-    // so the snapshot's per-shard clean check can read it WITHOUT taking mu
-    // — a rebuild locks only the shards whose version moved; reading a stale
-    // value is caught by the rebuild's global-version recheck.
-    std::atomic<std::uint64_t> version{0};
-    // Fragment cache: the Estimates fragment built from `stats` at
-    // `frag_version`. Guarded by snap_mu_, NOT by mu — only snapshot()
-    // (which serializes on snap_mu_) ever touches it; writers never look.
-    std::shared_ptr<const Estimates::Map> frag;
-    std::uint64_t frag_version = 0;
-  };
-  Shard& shard_for(int muscle_id) const;
-  /// Lock every shard (fixed index order; excludes all writers at once).
-  std::vector<std::unique_lock<std::mutex>> lock_all_shards() const;
-  MuscleStats& stats_locked(Shard& s, std::int64_t key);
-  static std::optional<double> t_locked(const Shard& s, std::int64_t key);
-  static std::optional<double> card_locked(const Shard& s, std::int64_t key);
-  void bump_version();
+  MuscleStats& stats_locked(std::int64_t key);
+  std::optional<double> t_locked(std::int64_t key) const;
+  std::optional<double> card_locked(std::int64_t key) const;
 
   EstimatorConfig est_cfg_;
   EstimationScope scope_;
-  mutable std::array<Shard, kShards> shards_;
-  std::atomic<std::uint64_t> version_{0};
-
-  // Whole-snapshot cache for the lock-free clean path: the last snapshot
-  // built, tagged with the global version it was built at. Readers load it
-  // with one atomic shared_ptr load; rebuilds publish a fresh node.
-  struct CleanSnap {
-    std::uint64_t version;
-    Estimates snap;
-  };
-  mutable std::atomic<std::shared_ptr<const CleanSnap>> clean_cache_{};
-  // Serializes rebuilds only (never taken by writers or the clean path).
-  mutable std::mutex snap_mu_;
+  mutable std::mutex mu_;
+  std::unordered_map<std::int64_t, MuscleStats> stats_;  // guarded by mu_
+  std::uint64_t version_ = 0;                            // guarded by mu_
 };
 
 }  // namespace askel

@@ -315,6 +315,45 @@ TEST(RegistryStress, CleanSnapshotIsStableAcrossThreads) {
   EXPECT_EQ(reg.version(), v);  // pure reads never bump the version
 }
 
+TEST(RegistryStress, ConcurrentReadersSnapshotWhileWritersObserve) {
+  // Several readers snapshotting at once while writes land: every reader
+  // both publishes and consumes snapshots, so any state a snapshot shares
+  // between callers is raced here (run it under ThreadSanitizer).
+  EstimateRegistry reg(1.0);  // rho=1: last wins
+  constexpr int kWriters = 2;
+  constexpr int kReaders = 2;
+  constexpr int kObsPerWriter = 20000;
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> writers;
+  std::vector<std::thread> readers;
+  for (int r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&reg, &stop] {
+      while (!stop.load(std::memory_order_acquire)) {
+        const Estimates snap = reg.snapshot();
+        ASSERT_LE(snap.size(), static_cast<std::size_t>(kWriters));
+        for (int w = 0; w < kWriters; ++w) {
+          if (const auto t = snap.t(w)) {
+            ASSERT_GE(*t, 0.0);
+            ASSERT_LT(*t, 1.0 * kObsPerWriter);
+          }
+        }
+      }
+    });
+  }
+  for (int w = 0; w < kWriters; ++w) {
+    writers.emplace_back([&reg, w] {
+      for (int k = 0; k < kObsPerWriter; ++k) reg.observe_duration(w, 1.0 * k);
+    });
+  }
+  for (auto& t : writers) t.join();
+  stop.store(true, std::memory_order_release);
+  for (auto& t : readers) t.join();
+  const Estimates snap = reg.snapshot();
+  for (int w = 0; w < kWriters; ++w) {
+    EXPECT_DOUBLE_EQ(*snap.t(w), 1.0 * (kObsPerWriter - 1));
+  }
+}
+
 // ------------------------------------------------------------- end-to-end --
 
 TEST(CrossLayerStress, PoolWorkersFireEventsAndObserveEstimates) {
