@@ -151,7 +151,7 @@ void BM_LimitedLp(benchmark::State& state) {
     benchmark::DoNotOptimize(limited_lp(g, 8).wct);
   }
 }
-BENCHMARK(BM_LimitedLp)->Arg(32)->Arg(256)->Arg(1024);
+BENCHMARK(BM_LimitedLp)->Arg(32)->Arg(256)->Arg(1024)->Arg(4096);
 
 void BM_Decide(benchmark::State& state) {
   const AdgSnapshot g = wide_dag(static_cast<int>(state.range(0)));
@@ -159,7 +159,7 @@ void BM_Decide(benchmark::State& state) {
     benchmark::DoNotOptimize(decide(g, 2.0, 4, 24));
   }
 }
-BENCHMARK(BM_Decide)->Arg(32)->Arg(256);
+BENCHMARK(BM_Decide)->Arg(32)->Arg(256)->Arg(1024);
 
 void BM_TrackerSnapshot_PaperExample(benchmark::State& state) {
   PaperExampleReplay replay;

@@ -30,6 +30,9 @@
 #   * TCP transport (PR 10): the bracket churn over a real loopback socket at
 #     lease_batch 1 and 16, connect->Hello join latency and the named-muscle
 #     echo round trip (rides inside <out>.transport.json's "tcp" section).
+#   * Analyze step (informational, not gated): limited_lp on a flat map of
+#     32..4096 activities and decide() at 32..1024, the costs the MAPE loop
+#     pays per evaluation on wide ADGs ("analyze" section).
 # The per-scenario raw JSONs are kept next to the output
 # (<out>.pressure.json / <out>.weighted.json / <out>.aggressor.json /
 # <out>.estimators.json / <out>.transport.json / <out>.scaling.json /
@@ -61,13 +64,13 @@ cmake --build "${build_dir}" -j"$(nproc)" --target wct_algorithms multi_tenant \
       transport_bench scaling_bench coordinator_scale_bench service_bench \
       >/dev/null
 
+# Always (re)build: a micro_bench left over from an older checkout would
+# silently report the old code's numbers.
 micro_ok=1
-if [[ ! -x "${build_dir}/micro_bench" ]]; then
-  if ! cmake --build "${build_dir}" -j"$(nproc)" --target micro_bench \
-       >/dev/null 2>&1; then
-    echo "google-benchmark not available: skipping micro_bench" >&2
-    micro_ok=0
-  fi
+if ! cmake --build "${build_dir}" -j"$(nproc)" --target micro_bench \
+     >/dev/null 2>&1; then
+  echo "google-benchmark not available: skipping micro_bench" >&2
+  micro_ok=0
 fi
 
 raw_json="$(mktemp)"
@@ -86,7 +89,7 @@ min_time=0.2
 
 if [[ ${micro_ok} -eq 1 ]]; then
   "${build_dir}/micro_bench" \
-    --benchmark_filter='BM_EventDispatch|BM_PoolChurn|BM_PoolSubmitDrain|BM_PoolInjectDrain|BM_EstimateSnapshot' \
+    --benchmark_filter='BM_EventDispatch|BM_PoolChurn|BM_PoolSubmitDrain|BM_PoolInjectDrain|BM_EstimateSnapshot|BM_LimitedLp|BM_Decide' \
     --benchmark_min_time="${min_time}" \
     --benchmark_format=json > "${raw_json}"
 else
@@ -197,6 +200,12 @@ out = {
         "clean_16": ns("BM_EstimateSnapshot_Clean/16"),
         "clean_128": ns("BM_EstimateSnapshot_Clean/128"),
         "clean_1024": ns("BM_EstimateSnapshot_Clean/1024"),
+    },
+    # Informational: no baseline holds these yet, so no gate reads them.
+    "analyze": {
+        "limited_lp_ns": {str(n): ns(f"BM_LimitedLp/{n}")
+                          for n in (32, 256, 1024, 4096)},
+        "decide_ns": {str(n): ns(f"BM_Decide/{n}") for n in (32, 256, 1024)},
     },
     "multi_tenant": {
         "staggered_pressure": mt_pressure,

@@ -37,7 +37,7 @@ TimePoint graham_upper(const AdgSnapshot& g, int lp);
 
 /// Which algorithm the controller uses to evaluate limited-LP completion.
 enum class WctAlgorithm : int {
-  kListSchedule,  // the paper's greedy simulation (most accurate, O(n² log n))
+  kListSchedule,  // the paper's greedy simulation (most accurate, O((V+E) log V))
   kGrahamBound,   // analytic bound (optimistic, O(V+E))
 };
 

@@ -7,7 +7,14 @@
 // Finding the true minimum-makespan schedule under a processor bound is
 // NP-complete (the paper says so); like Skandium we use deterministic greedy
 // list scheduling: among ready activities, the earliest-ready one (ties by
-// id) is placed on the earliest-free worker.
+// lowest id) is placed on the earliest-free worker.
+//
+// The schedule is event-driven, O((V+E) log V): each pending activity keeps
+// a count of unplaced predecessors, and placing an activity walks only its
+// successors. An activity enters a ready heap keyed by (ready time, id) the
+// moment its last predecessor is placed — its ready time can no longer
+// change then — so popping the heap yields exactly the earliest-ready,
+// lowest-id choice a rescan of every pending activity would make.
 
 #include "adg/best_effort.hpp"
 
@@ -16,7 +23,9 @@ namespace askel {
 /// Greedy list schedule of the snapshot's running+pending activities on `lp`
 /// workers. Done activities keep their actual times and hold no worker;
 /// running activities each hold a worker until their estimated end (they are
-/// physically occupying threads and are never migrated).
+/// physically occupying threads and are never migrated). Throws
+/// std::logic_error if a pending activity can never become ready (a cycle or
+/// an out-of-range predecessor id).
 Schedule limited_lp(const AdgSnapshot& g, int lp);
 
 }  // namespace askel

@@ -6,6 +6,15 @@
 
 namespace askel {
 
+namespace {
+
+/// Duty-cycle floor: an evaluation that cost c seconds is followed by at
+/// least kEvalSpacingFactor * c of quiet, so Analyze holds about 1/10 of one
+/// core however wide the ADG grows.
+constexpr double kEvalSpacingFactor = 10.0;
+
+}  // namespace
+
 AutonomicController::AutonomicController(ResizableThreadPool& pool,
                                          TrackerSet& trackers, const Clock* clock,
                                          ControllerConfig cfg)
@@ -81,6 +90,7 @@ bool AutonomicController::arm_goals(const QoSGoals& goals) {
                                               goals.tail_goal)
               : nullptr;
   last_eval_ = -1.0;
+  last_eval_cost_ = 0.0;
   last_reason_ = DecisionReason::kEmptySnapshot;
   evaluations_ = 0;
   actions_.clear();
@@ -127,10 +137,7 @@ void AutonomicController::record_latency(Duration latency) {
   if (!lock.owns_lock()) return;
   if (!armed_ || tail_ != tracker) return;  // disarmed or re-armed meanwhile
   const TimePoint now = clock_->now();
-  const bool warming = last_reason_ == DecisionReason::kIncompleteEstimates ||
-                       last_reason_ == DecisionReason::kEmptySnapshot;
-  if (!warming && last_eval_ >= 0.0 && now - last_eval_ < cfg_.min_interval) return;
-  evaluate_locked(now);
+  if (evaluation_due_locked(now)) evaluate_locked(now);
 }
 
 TailSnapshot AutonomicController::tail_snapshot() const {
@@ -189,13 +196,19 @@ void AutonomicController::on_event(const Event& ev) {
   if (!lock.owns_lock()) return;
   if (!armed_) return;
   const TimePoint now = clock_->now();
+  if (evaluation_due_locked(now)) evaluate_locked(now);
+}
+
+bool AutonomicController::evaluation_due_locked(TimePoint now) const {
   // Throttle only actionable evaluations: while estimates are still warming
   // up, the very next event may be the one that completes them (the first
   // merge in the paper's scenario 1), and it must be evaluated immediately.
   const bool warming = last_reason_ == DecisionReason::kIncompleteEstimates ||
                        last_reason_ == DecisionReason::kEmptySnapshot;
-  if (!warming && last_eval_ >= 0.0 && now - last_eval_ < cfg_.min_interval) return;
-  evaluate_locked(now);
+  if (warming || last_eval_ < 0.0) return true;
+  const Duration spacing =
+      std::max(cfg_.min_interval, kEvalSpacingFactor * last_eval_cost_);
+  return now - last_eval_ >= spacing;
 }
 
 Decision AutonomicController::evaluate_now() {
@@ -260,6 +273,7 @@ Decision AutonomicController::evaluate_locked(TimePoint now) {
     actions_.push_back(Action{now, current, applied, d.reason, d.best_effort_wct,
                               d.current_lp_wct});
   }
+  last_eval_cost_ = clock_->now() - now;
   return d;
 }
 

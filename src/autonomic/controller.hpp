@@ -2,8 +2,10 @@
 // AutonomicController: closes the MAPE loop.
 //
 // Monitor  — the TrackerSet listener mirrors the execution (events);
-// Analyze  — on every After-muscle event the controller snapshots the ADG and
-//            estimates best-effort / limited-LP completion times;
+// Analyze  — on After-muscle events the controller snapshots the ADG and
+//            estimates best-effort / limited-LP completion times (every
+//            event, unless min_interval or the duty-cycle floor spaces
+//            evaluations out);
 // Plan     — decision.cpp picks the LP;
 // Execute  — ResizableThreadPool::set_target_lp applies it immediately.
 //
@@ -46,7 +48,10 @@ struct ControllerConfig {
   /// SLO-mode decision knobs (used only after arm_slo).
   SloDecisionConfig slo;
   /// Minimum wall-clock spacing between evaluations (0 = evaluate on every
-  /// qualifying event; matches the paper's per-event reactivity).
+  /// qualifying event; matches the paper's per-event reactivity). The
+  /// controller also enforces a duty-cycle floor of a fixed multiple of the
+  /// last evaluation's measured cost, so on wide ADGs the MAPE loop holds a
+  /// bounded share of one core whatever this is set to.
   Duration min_interval = 0.0;
 };
 
@@ -133,6 +138,10 @@ class AutonomicController {
 
  private:
   Decision evaluate_locked(TimePoint now);
+  /// Throttle shared by on_event and record_latency: true unless the last
+  /// evaluation was actionable and ran less than max(min_interval, the
+  /// duty-cycle floor) before `now`.
+  bool evaluation_due_locked(TimePoint now) const;
   int effective_max_lp() const;
   int current_lp_locked() const;
 
@@ -155,6 +164,8 @@ class AutonomicController {
   /// the (internally locked) tracker update.
   std::shared_ptr<TailTracker> tail_;
   TimePoint last_eval_ = -1.0;
+  /// Duration of the last evaluation on clock_ (0 under a ManualClock).
+  Duration last_eval_cost_ = 0.0;
   /// Pool provision-failure counter at the last evaluation (seeded at arm):
   /// an advance means a grow this controller planned (or shared the pool
   /// with) never materialized — surfaced as one kProvisionFailed action.

@@ -4,7 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
+#include <map>
 #include <random>
+#include <set>
+#include <stdexcept>
 
 #include "adg/best_effort.hpp"
 #include "adg/limited_lp.hpp"
@@ -168,6 +172,180 @@ TEST_P(SchedulerProperties, DoneAndRunningTimesAreFixedFacts) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SchedulerProperties,
                          ::testing::Values(1, 2, 3, 5, 8, 13, 21, 34, 55, 89));
+
+// ------------------------------------------------ scheduler oracles --
+
+/// The scan-based list schedule limited_lp replaced: every placement rescans
+/// every pending activity for the earliest-ready one (ties by id). O(V²·deg);
+/// kept only as the oracle the event-driven schedule must match bit for bit.
+Schedule limited_lp_reference(const AdgSnapshot& g, int lp) {
+  const std::size_t n = g.activities.size();
+  Schedule s;
+  s.entries.resize(n);
+  std::vector<TimePoint> running_ends;
+  std::vector<char> scheduled(n, 0);
+  for (const Activity& a : g.activities) {
+    if (a.state == ActivityState::kDone) {
+      s.entries[a.id] = {a.start, a.end};
+      scheduled[a.id] = 1;
+      s.wct = std::max(s.wct, a.end);
+    } else if (a.state == ActivityState::kRunning) {
+      const TimePoint end = std::max(a.start + a.est_duration, g.now);
+      s.entries[a.id] = {a.start, end};
+      scheduled[a.id] = 1;
+      running_ends.push_back(end);
+      s.wct = std::max(s.wct, end);
+    }
+  }
+  std::sort(running_ends.begin(), running_ends.end());
+  std::multiset<TimePoint> avail;
+  const std::size_t reuse = std::min<std::size_t>(running_ends.size(), lp);
+  for (std::size_t k = 0; k < reuse; ++k) avail.insert(running_ends[k]);
+  for (int k = static_cast<int>(running_ends.size()); k < lp; ++k)
+    avail.insert(g.now);
+  std::vector<int> pending;
+  for (const Activity& a : g.activities)
+    if (a.state == ActivityState::kPending) pending.push_back(a.id);
+  std::vector<char> placed(n, 0);
+  for (std::size_t left = pending.size(); left > 0; --left) {
+    int best = -1;
+    TimePoint best_ready = 0.0;
+    for (const int id : pending) {
+      if (placed[id]) continue;
+      bool ready = true;
+      TimePoint ready_t = g.now;
+      for (const int p : g.activities[id].preds) {
+        if (!scheduled[p]) {
+          ready = false;
+          break;
+        }
+        ready_t = std::max(ready_t, s.entries[p].end);
+      }
+      if (ready && (best == -1 || ready_t < best_ready)) {
+        best = id;
+        best_ready = ready_t;
+      }
+    }
+    if (best == -1) ADD_FAILURE() << "reference: no ready activity";
+    if (best == -1) return s;
+    const TimePoint worker_free = *avail.begin();
+    avail.erase(avail.begin());
+    const TimePoint start = std::max(best_ready, worker_free);
+    const TimePoint end = start + g.activities[best].est_duration;
+    avail.insert(end);
+    s.entries[best] = {start, end};
+    scheduled[best] = 1;
+    placed[best] = 1;
+    s.wct = std::max(s.wct, end);
+  }
+  return s;
+}
+
+/// The std::map concurrency profile the sort-based one replaced.
+std::vector<Sample> concurrency_profile_reference(const Schedule& s) {
+  std::map<TimePoint, int> delta;
+  for (const ScheduleEntry& e : s.entries) {
+    if (e.end <= e.start) continue;
+    delta[e.start] += 1;
+    delta[e.end] -= 1;
+  }
+  std::vector<Sample> profile;
+  int level = 0;
+  for (const auto& [t, d] : delta) {
+    if (d == 0) continue;
+    level += d;
+    profile.push_back(Sample{t, static_cast<double>(level)});
+  }
+  return profile;
+}
+
+/// Random snapshot at now=10 with states interleaved by id, integer times
+/// (so ready times, worker-free times and profile points tie often),
+/// zero-length durations and duplicate predecessors. Done and running
+/// activities depend only on done ones; pending ones on anything earlier.
+AdgSnapshot random_oracle_dag(std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  auto uni = [&rng](int lo, int hi) {
+    return std::uniform_int_distribution<int>(lo, hi)(rng);
+  };
+  AdgSnapshot g;
+  g.now = 10.0;
+  const int n = uni(1, 40);
+  std::vector<int> done_ids;
+  for (int k = 0; k < n; ++k) {
+    const int roll = uni(0, 9);
+    const ActivityState state = roll < 3   ? ActivityState::kDone
+                                : roll < 5 ? ActivityState::kRunning
+                                           : ActivityState::kPending;
+    std::vector<int> preds;
+    const int want = uni(0, 3);
+    for (int j = 0; j < want && k > 0; ++j) {
+      if (state == ActivityState::kPending) {
+        preds.push_back(uni(0, k - 1));
+      } else if (!done_ids.empty()) {
+        preds.push_back(done_ids[uni(0, static_cast<int>(done_ids.size()) - 1)]);
+      }
+    }
+    if (!preds.empty() && uni(0, 4) == 0) preds.push_back(preds.front());
+    if (state == ActivityState::kDone) {
+      TimePoint ready = 0.0;
+      for (const int p : preds) ready = std::max(ready, g.activities[p].end);
+      const TimePoint start = ready + uni(0, 2);
+      done_ids.push_back(g.add(make_done(0, "d", start, start + uni(0, 3), preds)));
+    } else if (state == ActivityState::kRunning) {
+      g.add(make_running(0, "r", uni(0, 10), uni(0, 12), preds));
+    } else {
+      g.add(make_pending(0, "p", uni(0, 5), preds));
+    }
+  }
+  return g;
+}
+
+bool same_bits(const Schedule& a, const Schedule& b) {
+  return a.entries.size() == b.entries.size() &&
+         std::memcmp(&a.wct, &b.wct, sizeof a.wct) == 0 &&
+         (a.entries.empty() ||
+          std::memcmp(a.entries.data(), b.entries.data(),
+                      a.entries.size() * sizeof(ScheduleEntry)) == 0);
+}
+
+TEST(SchedulerOracle, LimitedLpMatchesTheScanBitForBit) {
+  constexpr std::uint64_t kGraphs = 12000;
+  for (std::uint64_t seed = 1; seed <= kGraphs; ++seed) {
+    const AdgSnapshot g = random_oracle_dag(seed);
+    for (int lp = 1; lp <= 8; ++lp) {
+      const Schedule fast = limited_lp(g, lp);
+      const Schedule ref = limited_lp_reference(g, lp);
+      ASSERT_TRUE(same_bits(fast, ref)) << "seed=" << seed << " lp=" << lp;
+    }
+  }
+}
+
+TEST(SchedulerOracle, ConcurrencyProfileMatchesTheMapBitForBit) {
+  constexpr std::uint64_t kGraphs = 12000;
+  for (std::uint64_t seed = 1; seed <= kGraphs; ++seed) {
+    const AdgSnapshot g = random_oracle_dag(seed);
+    const int lp = static_cast<int>(1 + seed % 8);
+    for (const Schedule& s : {best_effort(g), limited_lp(g, lp)}) {
+      const std::vector<Sample> fast = concurrency_profile(s);
+      const std::vector<Sample> ref = concurrency_profile_reference(s);
+      ASSERT_EQ(fast.size(), ref.size()) << "seed=" << seed;
+      ASSERT_TRUE(fast.empty() || std::memcmp(fast.data(), ref.data(),
+                                              fast.size() * sizeof(Sample)) == 0)
+          << "seed=" << seed;
+    }
+  }
+}
+
+TEST(SchedulerOracle, CycleIsALoudError) {
+  AdgSnapshot g;
+  g.add(make_pending(0, "a", 1.0, {}));
+  g.add(make_pending(0, "b", 1.0, {0}));
+  g.activities[0].preds = {1};  // a <-> b: neither can ever become ready
+  EXPECT_THROW(limited_lp(g, 2), std::logic_error);
+  g.activities[0].preds = {7};  // out of range
+  EXPECT_THROW(limited_lp(g, 2), std::logic_error);
+}
 
 // -------------------------------------------------------- Ewma properties --
 

@@ -3,9 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+
 #include "adg/best_effort.hpp"
 #include "adg/limited_lp.hpp"
 #include "adg/timeline.hpp"
+#include "autonomic/controller.hpp"
 #include "autonomic/decision.hpp"
 #include "workload/paper_example.hpp"
 #include "workload/wordcount.hpp"
@@ -426,6 +429,98 @@ TEST(PaperReplay, InitializedRegistryMakesEarlySnapshotsComplete) {
   // from t=10 is 10 + 10 + 15·(critical path 3 sequential fe) + 5 + 5 = wait —
   // structure: inner split 10, fe 15 (parallel ∞), merge 5, outer merge 5.
   EXPECT_DOUBLE_EQ(best_effort(g).wct, 45.0);
+}
+
+// ------------------------------------------- controller evaluation spacing --
+
+/// Clock that advances a fixed step on every read. An evaluation reads the
+/// controller's clock once when it starts and once when it ends, so each one
+/// costs exactly one step, and every event that reaches the throttle reads
+/// the clock once.
+class StepClock final : public Clock {
+ public:
+  StepClock(TimePoint start, Duration step) : start_(start), step_(step) {}
+  TimePoint now() const override {
+    return start_ + step_ * static_cast<double>(++reads_);
+  }
+  long reads() const { return reads_.load(); }
+
+ private:
+  TimePoint start_;
+  Duration step_;
+  mutable std::atomic<long> reads_{0};
+};
+
+/// A power of two, so the spacing arithmetic on 70 + k·step is exact.
+constexpr Duration kStep = 1.0 / 1024.0;
+
+Event after_muscle(Where where = Where::kExecute) {
+  Event e;
+  e.when = When::kAfter;
+  e.where = where;
+  return e;
+}
+
+TEST(ControllerSpacing, NextEvaluationWaitsTenTimesTheLastOnesCost) {
+  PaperExampleReplay r;
+  r.replay_until(70.0);  // estimates complete: every evaluation is actionable
+  ManualClock pool_clock(70.0);
+  ResizableThreadPool pool(2, 24, &pool_clock);
+  StepClock clock(70.0, kStep);
+  AutonomicController ctl(pool, r.trackers(), &clock, ControllerConfig{});
+  ASSERT_TRUE(ctl.arm(100.0));  // read 1
+  ctl.on_event(after_muscle());  // reads 2 and 3: starts at 70+2s, costs s
+  ASSERT_EQ(ctl.evaluations(), 1);
+  ASSERT_EQ(clock.reads(), 3);
+  ASSERT_EQ(ctl.actions().size(), 1u);  // LP 2 -> 3: not warming any more
+  // Event k after it reads 70+(3+k)s, i.e. (1+k)s after that evaluation
+  // started; min_interval is 0, so only the 10s duty-cycle floor holds it.
+  for (int k = 1; k <= 8; ++k) {
+    ctl.on_event(after_muscle());
+    EXPECT_EQ(ctl.evaluations(), 1) << "event " << k << " is inside the floor";
+  }
+  ctl.on_event(after_muscle());  // k = 9: exactly 10s later
+  EXPECT_EQ(ctl.evaluations(), 2);
+}
+
+TEST(ControllerSpacing, WarmingControllerEvaluatesOnTheVeryNextEvent) {
+  PaperExampleReplay r;
+  r.replay_until(10.0);  // only the outer split ran: estimates incomplete
+  ManualClock pool_clock(10.0);
+  ResizableThreadPool pool(2, 24, &pool_clock);
+  StepClock clock(10.0, kStep);
+  AutonomicController ctl(pool, r.trackers(), &clock, ControllerConfig{});
+  ASSERT_TRUE(ctl.arm(100.0));
+  for (long k = 1; k <= 5; ++k) {
+    ctl.on_event(after_muscle());
+    EXPECT_EQ(ctl.evaluations(), k);
+  }
+  EXPECT_TRUE(ctl.actions().empty());
+}
+
+TEST(ControllerSpacing, ManualClockEvaluatesEveryQualifyingEvent) {
+  // Under a ManualClock an evaluation measures zero cost, so the floor
+  // never binds: the paper's per-event reactivity is kept exactly.
+  PaperExampleReplay r;
+  r.replay_until(70.0);
+  ManualClock clock(70.0);
+  ResizableThreadPool pool(2, 24, &clock);
+  AutonomicController ctl(pool, r.trackers(), &clock, ControllerConfig{});
+  ASSERT_TRUE(ctl.arm(100.0));
+  long qualifying = 0;
+  for (int k = 0; k < 12; ++k) {
+    for (const Where w : {Where::kExecute, Where::kSplit, Where::kMerge,
+                          Where::kCondition}) {
+      ctl.on_event(after_muscle(w));
+      ++qualifying;
+    }
+    ctl.on_event(after_muscle(Where::kSkeleton));
+    ctl.on_event(after_muscle(Where::kNested));
+    Event before = after_muscle();
+    before.when = When::kBefore;
+    ctl.on_event(before);
+  }
+  EXPECT_EQ(ctl.evaluations(), qualifying);
 }
 
 }  // namespace
