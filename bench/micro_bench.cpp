@@ -1,6 +1,7 @@
 // google-benchmark microbenchmarks of the framework's moving parts: event
 // dispatch overhead, skeleton interpretation overhead, scheduler costs on
-// growing ADGs, estimator updates, and pool resize latency.
+// growing ADGs, a cold run's whole MAPE loop, estimator updates, and pool
+// resize latency.
 //
 // These quantify the "very high level of adaptability" claim: per-event
 // monitoring is only viable if event dispatch and re-estimation are cheap
@@ -8,13 +9,16 @@
 
 #include <benchmark/benchmark.h>
 
+#include <mutex>
 #include <numeric>
 
 #include "adg/best_effort.hpp"
 #include "adg/limited_lp.hpp"
 #include "adg/timeline.hpp"
+#include "autonomic/controller.hpp"
 #include "autonomic/decision.hpp"
 #include "est/registry.hpp"
+#include "events/listener.hpp"
 #include "skel/typed.hpp"
 #include "sm/tracker_set.hpp"
 #include "workload/paper_example.hpp"
@@ -160,6 +164,63 @@ void BM_Decide(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Decide)->Arg(32)->Arg(256)->Arg(1024);
+
+/// One cold run of a flat map of `width` seq muscles at LP 1, recorded as
+/// the event stream the bus delivered (the skeleton is kept alive because
+/// events point at its nodes).
+struct ColdWideMap {
+  NodePtr skeleton;
+  std::vector<Event> events;
+};
+
+ColdWideMap record_cold_wide_map(int width) {
+  auto fs = split_muscle<int, int>("fs", [](int k) {
+    std::vector<int> v(static_cast<std::size_t>(k));
+    std::iota(v.begin(), v.end(), 0);
+    return v;
+  });
+  auto fe = execute_muscle<int, int>("fe", [](int x) { return x; });
+  auto fm = merge_muscle<int, int>("fm", [](std::vector<int> v) {
+    return static_cast<int>(v.size());
+  });
+  const auto skel = Map(fs, Seq(fe), fm);
+  ColdWideMap out{skel.node(), {}};
+  ResizableThreadPool pool(1, 1);
+  EventBus bus;
+  std::mutex mu;
+  bus.add_listener(std::make_shared<ObserverListener>([&](const Event& e) {
+    std::lock_guard lock(mu);
+    out.events.push_back(e);
+  }));
+  Engine engine(pool, bus);
+  skel.input(width, engine).get();
+  std::lock_guard lock(mu);
+  return out;
+}
+
+// Paper scenario 1 on a flat map: a fresh registry, TrackerSet and armed
+// controller ingest a cold run's events under a ManualClock (so no
+// evaluation spacing applies). Every After-muscle event is a warming
+// evaluation until the final merge; the cost per run should grow linearly
+// with the width.
+void BM_ColdStart(benchmark::State& state) {
+  const ColdWideMap run = record_cold_wide_map(static_cast<int>(state.range(0)));
+  ManualClock clock(0.0);
+  ResizableThreadPool pool(1, 1, &clock);
+  for (auto _ : state) {
+    EstimateRegistry reg(0.5);
+    TrackerSet trackers(reg);
+    AutonomicController ctl(pool, trackers, &clock, ControllerConfig{});
+    ctl.arm(1.0);
+    for (const Event& e : run.events) {
+      trackers.on_event(e);
+      ctl.on_event(e);
+    }
+    benchmark::DoNotOptimize(ctl.evaluations());
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_ColdStart)->Arg(256)->Arg(1024);
 
 void BM_TrackerSnapshot_PaperExample(benchmark::State& state) {
   PaperExampleReplay replay;

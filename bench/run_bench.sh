@@ -32,7 +32,8 @@
 #     echo round trip (rides inside <out>.transport.json's "tcp" section).
 #   * Analyze step (informational, not gated): limited_lp on a flat map of
 #     32..4096 activities and decide() at 32..1024, the costs the MAPE loop
-#     pays per evaluation on wide ADGs ("analyze" section).
+#     pays per evaluation on wide ADGs, and a whole cold run (TrackerSet +
+#     controller) of a 256- and 1024-wide map ("analyze" section).
 # The per-scenario raw JSONs are kept next to the output
 # (<out>.pressure.json / <out>.weighted.json / <out>.aggressor.json /
 # <out>.estimators.json / <out>.transport.json / <out>.scaling.json /
@@ -89,7 +90,7 @@ min_time=0.2
 
 if [[ ${micro_ok} -eq 1 ]]; then
   "${build_dir}/micro_bench" \
-    --benchmark_filter='BM_EventDispatch|BM_PoolChurn|BM_PoolSubmitDrain|BM_PoolInjectDrain|BM_EstimateSnapshot|BM_LimitedLp|BM_Decide' \
+    --benchmark_filter='BM_EventDispatch|BM_PoolChurn|BM_PoolSubmitDrain|BM_PoolInjectDrain|BM_EstimateSnapshot|BM_LimitedLp|BM_Decide|BM_ColdStart' \
     --benchmark_min_time="${min_time}" \
     --benchmark_format=json > "${raw_json}"
 else
@@ -206,6 +207,7 @@ out = {
         "limited_lp_ns": {str(n): ns(f"BM_LimitedLp/{n}")
                           for n in (32, 256, 1024, 4096)},
         "decide_ns": {str(n): ns(f"BM_Decide/{n}") for n in (32, 256, 1024)},
+        "cold_start_ns": {str(n): ns(f"BM_ColdStart/{n}") for n in (256, 1024)},
     },
     "multi_tenant": {
         "staggered_pressure": mt_pressure,

@@ -76,8 +76,7 @@ bool AutonomicController::arm_goals(const QoSGoals& goals) {
     // One marker action records the episode; the coordinator never hears of
     // this tenant (no arm_tenant), so its water-fill is untouched.
     const int at = current_lp_locked();
-    actions_.push_back(
-        Action{now, at, at, DecisionReason::kInvalidGoal, 0.0, 0.0});
+    log_action_locked(Action{now, at, at, DecisionReason::kInvalidGoal, 0.0, 0.0});
     armed_ = false;
     return false;
   }
@@ -93,6 +92,8 @@ bool AutonomicController::arm_goals(const QoSGoals& goals) {
   last_eval_cost_ = 0.0;
   last_reason_ = DecisionReason::kEmptySnapshot;
   evaluations_ = 0;
+  adg_rebuilds_ = 0;
+  warming_stamp_.reset();
   actions_.clear();
   // Failures that predate this arm are not this goal's business.
   provision_failures_seen_ = pool_.provision_failures();
@@ -239,8 +240,8 @@ Decision AutonomicController::evaluate_locked(TimePoint now) {
   if (failures != provision_failures_seen_) {
     provision_failures_seen_ = failures;
     const int at = current_lp_locked();
-    actions_.push_back(Action{now, at, at, DecisionReason::kProvisionFailed,
-                              0.0, 0.0});
+    log_action_locked(
+        Action{now, at, at, DecisionReason::kProvisionFailed, 0.0, 0.0});
   }
   const int current = current_lp_locked();
   const bool slo_mode = goals_.kind == GoalKind::kTailLatency;
@@ -254,8 +255,22 @@ Decision AutonomicController::evaluate_locked(TimePoint now) {
     d = decide_slo(t, goals_.tail_goal, current, effective_max_lp(), cfg_.slo);
     pressure = slo_pressure(t, goals_.tail_goal);
   } else {
-    const AdgSnapshot g = trackers_.snapshot(now);
-    d = decide(g, goal_abs_, current, effective_max_lp(), cfg_.decision);
+    const ResolutionStamp stamp = trackers_.resolution_stamp();
+    if (warming_stamp_ == stamp) {
+      // Nothing the last (incomplete) snapshot lacked can have arrived:
+      // decide() would take its kIncompleteEstimates early return again.
+      d.new_lp = current;
+      d.reason = DecisionReason::kIncompleteEstimates;
+    } else {
+      const AdgSnapshot g = trackers_.snapshot(now);
+      ++adg_rebuilds_;
+      d = decide(g, goal_abs_, current, effective_max_lp(), cfg_.decision);
+      if (d.reason == DecisionReason::kIncompleteEstimates && !g.truncated) {
+        warming_stamp_ = stamp;
+      } else {
+        warming_stamp_.reset();
+      }
+    }
     pressure = goal_pressure(d, goal_abs_, now);
   }
   last_reason_ = d.reason;
@@ -270,8 +285,8 @@ Decision AutonomicController::evaluate_locked(TimePoint now) {
     applied = pool_.set_target_lp(d.new_lp);
   }
   if (applied != current) {
-    actions_.push_back(Action{now, current, applied, d.reason, d.best_effort_wct,
-                              d.current_lp_wct});
+    log_action_locked(Action{now, current, applied, d.reason, d.best_effort_wct,
+                             d.current_lp_wct});
   }
   last_eval_cost_ = clock_->now() - now;
   return d;
@@ -285,6 +300,20 @@ std::vector<AutonomicController::Action> AutonomicController::actions() const {
 long AutonomicController::evaluations() const {
   std::lock_guard lock(mu_);
   return evaluations_;
+}
+
+long AutonomicController::adg_rebuilds() const {
+  std::lock_guard lock(mu_);
+  return adg_rebuilds_;
+}
+
+void AutonomicController::log_action_locked(const Action& a) {
+  // Dropped in halves to stay amortized O(1), like the coordinator's history.
+  if (actions_.size() >= kMaxHistory) {
+    actions_.erase(actions_.begin(),
+                   actions_.begin() + static_cast<long>(kMaxHistory / 2));
+  }
+  actions_.push_back(a);
 }
 
 }  // namespace askel

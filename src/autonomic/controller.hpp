@@ -5,7 +5,10 @@
 // Analyze  — on After-muscle events the controller snapshots the ADG and
 //            estimates best-effort / limited-LP completion times (every
 //            event, unless min_interval or the duty-cycle floor spaces
-//            evaluations out);
+//            evaluations out). While estimates are still warming up, the
+//            snapshot is rebuilt only when the TrackerSet's resolution
+//            stamp moved since the last incomplete one — otherwise the
+//            outcome is known to be kIncompleteEstimates again;
 // Plan     — decision.cpp picks the LP;
 // Execute  — ResizableThreadPool::set_target_lp applies it immediately.
 //
@@ -31,6 +34,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <vector>
 
 #include "autonomic/coordinator.hpp"
@@ -124,7 +128,10 @@ class AutonomicController {
   /// triggering policy).
   Decision evaluate_now();
 
-  /// One record per applied LP change.
+  /// One record per applied LP change. Bounded: only the most recent
+  /// ~kMaxHistory records are kept (an armed SLO controller logs for as long
+  /// as its stream runs).
+  static constexpr std::size_t kMaxHistory = 4096;
   struct Action {
     TimePoint t = 0.0;
     int from_lp = 0;
@@ -134,7 +141,11 @@ class AutonomicController {
     TimePoint current_lp_wct = 0.0;
   };
   std::vector<Action> actions() const;
+  /// Evaluations since arm, warming ones included.
   long evaluations() const;
+  /// ADG snapshots built since arm: evaluations minus the warming ones
+  /// answered from an unchanged resolution stamp (and minus SLO-mode ones).
+  long adg_rebuilds() const;
 
  private:
   Decision evaluate_locked(TimePoint now);
@@ -144,6 +155,7 @@ class AutonomicController {
   bool evaluation_due_locked(TimePoint now) const;
   int effective_max_lp() const;
   int current_lp_locked() const;
+  void log_action_locked(const Action& a);
 
   ResizableThreadPool& pool_;
   TrackerSet& trackers_;
@@ -172,6 +184,10 @@ class AutonomicController {
   std::uint64_t provision_failures_seen_ = 0;
   DecisionReason last_reason_ = DecisionReason::kEmptySnapshot;
   long evaluations_ = 0;
+  long adg_rebuilds_ = 0;
+  /// Resolution stamp read before the last snapshot, kept only when that
+  /// snapshot was incomplete and not truncated.
+  std::optional<ResolutionStamp> warming_stamp_;
   std::vector<Action> actions_;
 };
 

@@ -89,19 +89,35 @@ std::optional<double> EstimateRegistry::card_locked(std::int64_t key) const {
   return it == stats_.end() ? std::nullopt : it->second.cardinality();
 }
 
+bool EstimateRegistry::observe_duration_locked(std::int64_t key, double seconds) {
+  MuscleStats& st = stats_locked(key);
+  const bool had = st.t().has_value();
+  st.observe_duration(seconds);
+  return !had && st.t().has_value();
+}
+
+bool EstimateRegistry::observe_cardinality_locked(std::int64_t key, double card) {
+  MuscleStats& st = stats_locked(key);
+  const bool had = st.cardinality().has_value();
+  st.observe_cardinality(card);
+  return !had && st.cardinality().has_value();
+}
+
 void EstimateRegistry::observe_duration(int muscle_id, int depth, double seconds) {
   std::lock_guard lock(mu_);
-  stats_locked(estimate_key(muscle_id, kAnyDepth)).observe_duration(seconds);
+  bool gained = observe_duration_locked(estimate_key(muscle_id, kAnyDepth), seconds);
   if (depth != kAnyDepth)
-    stats_locked(estimate_key(muscle_id, depth)).observe_duration(seconds);
+    gained |= observe_duration_locked(estimate_key(muscle_id, depth), seconds);
+  if (gained) bump_coverage_locked();
   ++version_;
 }
 
 void EstimateRegistry::observe_cardinality(int muscle_id, int depth, double card) {
   std::lock_guard lock(mu_);
-  stats_locked(estimate_key(muscle_id, kAnyDepth)).observe_cardinality(card);
+  bool gained = observe_cardinality_locked(estimate_key(muscle_id, kAnyDepth), card);
   if (depth != kAnyDepth)
-    stats_locked(estimate_key(muscle_id, depth)).observe_cardinality(card);
+    gained |= observe_cardinality_locked(estimate_key(muscle_id, depth), card);
+  if (gained) bump_coverage_locked();
   ++version_;
 }
 
@@ -124,12 +140,14 @@ void EstimateRegistry::init_cardinality(int muscle_id, double card) {
 void EstimateRegistry::init_duration(int muscle_id, int depth, double seconds) {
   std::lock_guard lock(mu_);
   stats_locked(estimate_key(muscle_id, depth)).init_duration(seconds);
+  bump_coverage_locked();
   ++version_;
 }
 
 void EstimateRegistry::init_cardinality(int muscle_id, int depth, double card) {
   std::lock_guard lock(mu_);
   stats_locked(estimate_key(muscle_id, depth)).init_cardinality(card);
+  bump_coverage_locked();
   ++version_;
 }
 
@@ -141,6 +159,7 @@ void EstimateRegistry::init_from(const Estimates& previous) {
     if (entry.t) st.init_duration(*entry.t);
     if (entry.card) st.init_cardinality(*entry.card);
   });
+  bump_coverage_locked();
   ++version_;
 }
 
@@ -189,6 +208,7 @@ std::uint64_t EstimateRegistry::version() const {
 void EstimateRegistry::clear() {
   std::lock_guard lock(mu_);
   stats_.clear();
+  bump_coverage_locked();
   ++version_;
 }
 

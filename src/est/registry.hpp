@@ -23,6 +23,7 @@
 // Analyze step; copying those entries under the lock costs far less than the
 // step that consumes them.
 
+#include <atomic>
 #include <cstdint>
 #include <mutex>
 #include <optional>
@@ -133,6 +134,14 @@ class EstimateRegistry {
   /// Monotonic write counter; bumped by every observe/init/clear. Exposed
   /// for tests and monitoring ("did anything change since I last looked?").
   std::uint64_t version() const;
+  /// Coverage counter: bumped only when some key's duration or cardinality
+  /// estimate first becomes available, and by every init_*, init_from and
+  /// clear. Refinements of existing estimates leave it alone, so "unchanged
+  /// since an incomplete snapshot" proves no estimate that snapshot lacked
+  /// has appeared since. Lock-free read.
+  std::uint64_t coverage_version() const {
+    return coverage_.load(std::memory_order_acquire);
+  }
   /// Smoothing of the configured estimator (meaningful for kEwma; kept for
   /// the pre-estimator-family API).
   double rho() const { return est_cfg_.rho; }
@@ -143,6 +152,10 @@ class EstimateRegistry {
 
  private:
   MuscleStats& stats_locked(std::int64_t key);
+  /// Observe into `key`; true when that made its estimate available.
+  bool observe_duration_locked(std::int64_t key, double seconds);
+  bool observe_cardinality_locked(std::int64_t key, double card);
+  void bump_coverage_locked() { coverage_.fetch_add(1, std::memory_order_release); }
   std::optional<double> t_locked(std::int64_t key) const;
   std::optional<double> card_locked(std::int64_t key) const;
 
@@ -151,6 +164,7 @@ class EstimateRegistry {
   mutable std::mutex mu_;
   std::unordered_map<std::int64_t, MuscleStats> stats_;  // guarded by mu_
   std::uint64_t version_ = 0;                            // guarded by mu_
+  std::atomic<std::uint64_t> coverage_{0};               // written under mu_
 };
 
 }  // namespace askel

@@ -66,11 +66,9 @@ std::vector<int> MapLikeTracker::contribute(SnapshotCtx& c,
                                static_cast<long>(children_.size()), &known, depth_);
     if (!known) c.g.complete_estimates = false;
   }
-  const long pending = std::max<long>(0, card - static_cast<long>(children_.size()));
-  for (long k = 0; k < pending; ++k) {
+  for (const SkelNode* pending : pending_child_nodes(card)) {
     std::vector<int> t =
-        expand_expected(*pending_child_node(static_cast<std::size_t>(k)), c.est, c.g,
-                        {split_id}, c.limits, depth_ + 1);
+        expand_expected(*pending, c.est, c.g, {split_id}, c.limits, depth_ + 1);
     merge_preds.insert(merge_preds.end(), t.begin(), t.end());
   }
   if (merge_preds.empty()) merge_preds = {split_id};
@@ -78,6 +76,28 @@ std::vector<int> MapLikeTracker::contribute(SnapshotCtx& c,
   if (merge_) return {add_record(c, *merge_, std::move(merge_preds))};
   return {add_pending_muscle(c.g, c.est, *merge_muscle(), std::move(merge_preds),
                              depth_)};
+}
+
+std::vector<const SkelNode*> ForkTracker::pending_child_nodes(long card) const {
+  const std::vector<const SkelNode*> kids = node_->children();
+  auto slot = [&kids](const SkelNode* n) {
+    return static_cast<std::size_t>(std::find(kids.begin(), kids.end(), n) -
+                                    kids.begin());
+  };
+  // Started children per branch slot (a child's node is always a branch).
+  std::vector<long> started(kids.size(), 0);
+  for (const TrackerPtr& child : children_) ++started[slot(child->node())];
+  std::vector<const SkelNode*> out;
+  for (long i = 0; i < card; ++i) {
+    const SkelNode* branch = kids[static_cast<std::size_t>(i) % kids.size()];
+    long& unmatched = started[slot(branch)];
+    if (unmatched > 0) {
+      --unmatched;
+    } else {
+      out.push_back(branch);
+    }
+  }
+  return out;
 }
 
 }  // namespace askel

@@ -91,17 +91,28 @@ void TrackerSet::on_event(const Event& ev) {
         child_dac->set_level(parent_dac->level() + 1);
       }
     } else {
+      retire_finished_roots_locked();
       roots_.push_back(t);
+      bump_epoch_locked();
     }
   }
+  const bool was_finished = t->finished();
   t->on_event(ev, reg_);
-  // The root d&C instance observes |fc| = divide depth when it completes.
-  if (t->finished()) {
+  bool resolved = ev.when == When::kAfter &&
+                  (ev.where == Where::kSplit || ev.where == Where::kCondition ||
+                   ev.where == Where::kMerge);
+  if (!was_finished && t->finished()) {
+    // A finished While stops expanding its expected tail.
+    resolved |= t->node()->kind() == SkelKind::kWhile;
+    // The root d&C instance observes |fc| = divide depth when it completes;
+    // the new value re-shapes the expansion of d&C instances still to come.
     if (auto* dac = dynamic_cast<DacTracker*>(t.get()); dac && dac->level() == 0) {
       reg_.observe_cardinality(dac->dac().fc().id(),
                                static_cast<double>(dac->divide_depth()));
+      resolved = true;
     }
   }
+  if (resolved) bump_epoch_locked();
 }
 
 EventBus::ListenerPtr TrackerSet::as_listener() {
@@ -143,10 +154,30 @@ std::size_t TrackerSet::tracked_instances() const {
   return by_exec_.size();
 }
 
+ResolutionStamp TrackerSet::resolution_stamp() const {
+  return {reg_.coverage_version(), epoch_.load(std::memory_order_acquire)};
+}
+
+void TrackerSet::retire_finished_roots_locked() {
+  std::vector<const Tracker*> stack;
+  std::erase_if(roots_, [&](const TrackerPtr& root) {
+    if (!root->finished()) return false;
+    stack.push_back(root.get());
+    while (!stack.empty()) {
+      const Tracker* t = stack.back();
+      stack.pop_back();
+      by_exec_.erase(t->exec_id());
+      for (const TrackerPtr& child : t->children()) stack.push_back(child.get());
+    }
+    return true;
+  });
+}
+
 void TrackerSet::reset() {
   std::lock_guard lock(mu_);
   by_exec_.clear();
   roots_.clear();
+  bump_epoch_locked();
 }
 
 }  // namespace askel

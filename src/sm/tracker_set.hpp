@@ -4,8 +4,12 @@
 //
 // Register it on the engine's EventBus (as_listener()); it then mirrors every
 // execution it observes. One TrackerSet normally tracks one run at a time;
-// `snapshot` works on the most recently started root instance.
+// `snapshot` works on the most recently started root instance. When a new
+// root starts, the trackers of every finished root are retired, so a set
+// serving an endless series of runs retains about one run's instances.
 
+#include <atomic>
+#include <cstdint>
 #include <memory>
 #include <mutex>
 #include <unordered_map>
@@ -15,6 +19,16 @@
 #include "sm/trackers.hpp"
 
 namespace askel {
+
+/// The two counters a snapshot's completeness depends on: the registry's
+/// coverage version and the tracker set's resolution epoch. While both are
+/// unchanged since a snapshot that lacked an estimate (and was not
+/// truncated), a fresh snapshot would lack one too.
+struct ResolutionStamp {
+  std::uint64_t coverage = 0;
+  std::uint64_t epoch = 0;
+  bool operator==(const ResolutionStamp&) const = default;
+};
 
 class TrackerSet {
  public:
@@ -35,6 +49,16 @@ class TrackerSet {
   bool root_finished() const;
   std::size_t tracked_instances() const;
 
+  /// The registry's coverage version and this set's resolution epoch, read
+  /// lock-free. The epoch moves when a new root starts, on reset(), and on
+  /// every event that can change which estimates a snapshot needs without
+  /// making a new one available: the After of a split, condition or merge
+  /// (a cardinality becomes known, a branch is chosen, a fan-in closes), a
+  /// While finishing (its expected tail goes) and a root d&C observing |fc|.
+  /// Read the stamp BEFORE building the snapshot it describes: an event
+  /// ingested in between can then only make the stamp look stale.
+  ResolutionStamp resolution_stamp() const;
+
   /// Forget all trackers (estimates in the registry are kept).
   void reset();
 
@@ -42,8 +66,13 @@ class TrackerSet {
   ExpandLimits limits;
 
  private:
+  /// Drop the trackers of every finished root (caller holds mu_).
+  void retire_finished_roots_locked();
+  void bump_epoch_locked() { epoch_.fetch_add(1, std::memory_order_release); }
+
   mutable std::mutex mu_;
   EstimateRegistry& reg_;
+  std::atomic<std::uint64_t> epoch_{0};  // written under mu_
   EventBus::ListenerPtr listener_;  // lazily-built shared bus adapter
   std::unordered_map<std::int64_t, TrackerPtr> by_exec_;
   std::vector<TrackerPtr> roots_;

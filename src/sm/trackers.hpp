@@ -7,6 +7,8 @@
 // Fork like Map (branch-cycled children) and If by expanding the true branch
 // until the condition result is known (documented deviation in DESIGN.md).
 
+#include <algorithm>
+
 #include "sm/tracker.hpp"
 
 namespace askel {
@@ -31,8 +33,9 @@ class MapLikeTracker : public Tracker {
   std::vector<int> contribute(SnapshotCtx& c, std::vector<int> preds) const override;
 
  protected:
-  /// Static node executed by the k-th not-yet-started child.
-  virtual const SkelNode* pending_child_node(std::size_t ordinal) const = 0;
+  /// Static nodes of the children not yet started when the split yields
+  /// `card` elements, in element order.
+  virtual std::vector<const SkelNode*> pending_child_nodes(long card) const = 0;
   const SplitMuscle* split_muscle() const;
   const MergeMuscle* merge_muscle() const;
 
@@ -45,8 +48,10 @@ class MapTracker final : public MapLikeTracker {
   using MapLikeTracker::MapLikeTracker;
 
  protected:
-  const SkelNode* pending_child_node(std::size_t) const override {
-    return node_->children()[0];
+  std::vector<const SkelNode*> pending_child_nodes(long card) const override {
+    const long pending = std::max<long>(0, card - static_cast<long>(children_.size()));
+    return std::vector<const SkelNode*>(static_cast<std::size_t>(pending),
+                                        node_->children()[0]);
   }
 };
 
@@ -55,11 +60,10 @@ class ForkTracker final : public MapLikeTracker {
   using MapLikeTracker::MapLikeTracker;
 
  protected:
-  const SkelNode* pending_child_node(std::size_t ordinal) const override {
-    const auto kids = node_->children();
-    // Started children occupy the lowest indices; cycle like the engine does.
-    return kids[(children_.size() + ordinal) % kids.size()];
-  }
+  /// Element i runs branch i mod |{∆}|, but elements may start in any order
+  /// (a worker's LIFO deque runs the last one first), so the pending ones
+  /// are matched against the started children branch by branch.
+  std::vector<const SkelNode*> pending_child_nodes(long card) const override;
 };
 
 /// pipe(∆1,∆2): stages run strictly in order.

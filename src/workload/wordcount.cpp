@@ -203,6 +203,7 @@ ScenarioResult run_wordcount_scenario(const ScenarioConfig& cfg,
   const TimePoint t1 = default_clock().now();
   controller.disarm();
 
+  res.start = t0;
   res.wct = t1 - t0;
   res.goal_met = res.wct <= res.goal;
   res.peak_busy = pool.gauge().peak();

@@ -139,6 +139,8 @@ struct ScenarioConfig {
 struct ScenarioResult {
   double wct = 0.0;        // measured wall-clock of the run (seconds)
   double goal = 0.0;       // scaled goal actually applied (seconds)
+  TimePoint start = 0.0;   // run start on the default clock: actions' t is
+                           // relative to it, their WCT estimates absolute
   bool goal_met = false;
   int peak_busy = 0;       // max simultaneously busy workers
   int final_lp = 0;

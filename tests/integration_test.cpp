@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <sstream>
 
 #include "adg/best_effort.hpp"
 #include "workload/wordcount.hpp"
@@ -223,10 +224,26 @@ TEST(Controller, PerDepthScenarioMeetsGoalWithoutRamping) {
   const ScenarioResult warm = run_wordcount_scenario(cfg);
   const ScenarioResult res = run_wordcount_scenario(cfg, &warm.final_estimates);
   EXPECT_EQ(res.counts, res.expected);
-  // All increases must be goal-derived, not unachievable-ramps.
+  // All increases must be goal-derived, not unachievable-ramps. On failure,
+  // print what the decision saw: its best-effort and current-LP completion
+  // estimates against the goal (seconds from the run's start), and the
+  // estimates the run was initialised with and finished with.
+  auto estimates = [](const NamedEstimates& named) {
+    std::ostringstream out;
+    for (const auto& [name, e] : named) {
+      out << " " << name << "{t=" << e.t.value_or(-1.0)
+          << " card=" << e.card.value_or(-1.0) << "}";
+    }
+    return out.str();
+  };
   for (const auto& a : res.actions) {
     EXPECT_NE(a.reason, DecisionReason::kUnachievableRamp)
-        << "t=" << a.t << " " << a.from_lp << "->" << a.to_lp;
+        << "t=" << a.t << " " << a.from_lp << "->" << a.to_lp
+        << " best_effort_wct=" << a.best_effort_wct - res.start
+        << " current_lp_wct=" << a.current_lp_wct - res.start
+        << " goal=" << res.goal
+        << " run_wct_s=" << res.wct << "\n  initial:" << estimates(warm.final_estimates)
+        << "\n  final:" << estimates(res.final_estimates);
   }
 }
 

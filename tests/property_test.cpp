@@ -1,11 +1,14 @@
 // Property-based tests: invariants of the schedulers over randomized DAGs
-// (seeded, deterministic) and parameterized sweeps of the estimator family.
+// (seeded, deterministic), parameterized sweeps of the estimator family, and
+// the exactness of the controller's warming skip over random skeletons.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstring>
 #include <map>
+#include <mutex>
+#include <optional>
 #include <random>
 #include <set>
 #include <stdexcept>
@@ -15,6 +18,10 @@
 #include "adg/timeline.hpp"
 #include "est/estimator.hpp"
 #include "est/ewma.hpp"
+#include "events/listener.hpp"
+#include "skel/engine.hpp"
+#include "skel/nodes.hpp"
+#include "sm/tracker_set.hpp"
 
 namespace askel {
 namespace {
@@ -345,6 +352,187 @@ TEST(SchedulerOracle, CycleIsALoudError) {
   EXPECT_THROW(limited_lp(g, 2), std::logic_error);
   g.activities[0].preds = {7};  // out of range
   EXPECT_THROW(limited_lp(g, 2), std::logic_error);
+}
+
+// ------------------------------------------- warming-skip exactness oracle --
+//
+// A warming controller skips the ADG rebuild while the TrackerSet's
+// resolution stamp (registry coverage version, tracker resolution epoch) is
+// unchanged since a snapshot that lacked an estimate and was not truncated.
+// The oracle runs seeded random skeletons over all nine kinds at LP 1,
+// records their event streams, replays each into fresh trackers, and at
+// every After event checks that such an unchanged stamp really implies a
+// fresh snapshot is still incomplete.
+
+std::uint64_t mix64(std::uint64_t x) {
+  x += 0x9e3779b97f4a7c15ULL;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
+
+std::uint64_t value_of(const Any& a) { return std::any_cast<std::uint64_t>(a); }
+
+/// Seeded random skeleton. Payloads are uint64 hashes; every muscle's
+/// outcome (split cardinality 0..3, condition result) is a hash of its
+/// input, and While/d&C conditions stop saying `true` after a per-node
+/// budget so every run terminates.
+class RandomSkeleton {
+ public:
+  RandomSkeleton(std::uint64_t seed, int depth) : rng_(seed) { root = node(depth); }
+
+  NodePtr root;
+  std::vector<const Muscle*> muscles;
+
+ private:
+  int uni(int lo, int hi) { return std::uniform_int_distribution<int>(lo, hi)(rng_); }
+  std::uint64_t salt() { return rng_(); }
+
+  ExecPtr fe() {
+    const std::uint64_t k = salt();
+    auto m = std::make_shared<const ExecuteMuscle>(
+        "fe", [k](Any p) { return Any(mix64(value_of(p) ^ k)); });
+    muscles.push_back(m.get());
+    return m;
+  }
+  SplitPtr fs() {
+    const std::uint64_t k = salt();
+    auto m = std::make_shared<const SplitMuscle>("fs", [k](Any p) {
+      const std::uint64_t h = mix64(value_of(p) ^ k);
+      AnyVec parts;
+      for (std::uint64_t i = 0; i < h % 4; ++i) parts.emplace_back(mix64(h + i));
+      return parts;
+    });
+    muscles.push_back(m.get());
+    return m;
+  }
+  MergePtr fm() {
+    const std::uint64_t k = salt();
+    auto m = std::make_shared<const MergeMuscle>("fm", [k](AnyVec parts) {
+      std::uint64_t h = k;
+      for (const Any& a : parts) h = mix64(h ^ value_of(a));
+      return Any(h);
+    });
+    muscles.push_back(m.get());
+    return m;
+  }
+  /// `budget` < 0: unbounded (If); else at most `budget` true results.
+  CondPtr fc(int budget) {
+    const std::uint64_t k = salt();
+    auto trues = std::make_shared<int>(0);
+    auto m = std::make_shared<const ConditionMuscle>(
+        "fc", [k, budget, trues](const Any& p) {
+          if (budget >= 0 && *trues >= budget) return false;
+          const bool r = (mix64(value_of(p) ^ k) & 1) != 0;
+          *trues += r;
+          return r;
+        });
+    muscles.push_back(m.get());
+    return m;
+  }
+
+  NodePtr node(int depth) {
+    switch (depth == 0 ? 0 : uni(0, 8)) {
+      case 1: return std::make_shared<FarmNode>(node(depth - 1));
+      case 2: return std::make_shared<PipeNode>(node(depth - 1), node(depth - 1));
+      case 3: return std::make_shared<WhileNode>(fc(3), node(depth - 1));
+      case 4: return std::make_shared<ForNode>(uni(0, 2), node(depth - 1));
+      case 5:
+        return std::make_shared<IfNode>(fc(-1), node(depth - 1), node(depth - 1));
+      case 6: return std::make_shared<MapNode>(fs(), node(depth - 1), fm());
+      case 7: {
+        std::vector<NodePtr> branches;
+        for (int b = uni(1, 3); b > 0; --b) branches.push_back(node(depth - 1));
+        return std::make_shared<ForkNode>(fs(), std::move(branches), fm());
+      }
+      case 8: return std::make_shared<DacNode>(fc(3), fs(), node(depth - 1), fm());
+      default: return std::make_shared<SeqNode>(fe());
+    }
+  }
+
+  std::mt19937_64 rng_;
+};
+
+/// Every event of one run of `sk` at LP 1, in delivery order.
+std::vector<Event> record_run(const RandomSkeleton& sk, std::uint64_t input) {
+  ResizableThreadPool pool(1, 1);
+  EventBus bus;
+  std::mutex mu;
+  std::vector<Event> events;
+  bus.add_listener(std::make_shared<ObserverListener>([&](const Event& e) {
+    std::lock_guard lock(mu);
+    events.push_back(e);
+  }));
+  Engine engine(pool, bus);
+  engine.run(sk.root, Any(input))->get();
+  std::lock_guard lock(mu);
+  return events;
+}
+
+struct OracleConfig {
+  EstimationScope scope;
+  bool partial;  // half the estimates initialised, tiny expansion limits
+};
+
+/// Replays `events` and returns the number of After events at which the
+/// stamp was unchanged since an incomplete snapshot (each one checked).
+long check_warming_skip(const RandomSkeleton& sk, const std::vector<Event>& events,
+                        const OracleConfig& cfg, std::uint64_t seed) {
+  EstimateRegistry reg(0.5, cfg.scope);
+  TrackerSet ts(reg);
+  if (cfg.partial) {
+    std::mt19937_64 rng(seed);
+    for (const Muscle* m : sk.muscles) {
+      if (rng() & 1) reg.init_duration(m->id(), 1.0 + static_cast<double>(rng() % 4));
+      if (m->kind() != MuscleKind::kExecute && m->kind() != MuscleKind::kMerge &&
+          (rng() & 1)) {
+        reg.init_cardinality(m->id(), static_cast<double>(rng() % 4));
+      }
+    }
+    ts.limits.max_activities = 4 + rng() % 29;
+    ts.limits.max_depth = 1 + static_cast<int>(rng() % 4);
+  }
+  std::optional<ResolutionStamp> warming;
+  long skips = 0;
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    ts.on_event(events[i]);
+    if (events[i].when != When::kAfter) continue;
+    const ResolutionStamp stamp = ts.resolution_stamp();
+    const AdgSnapshot g = ts.snapshot(events[i].timestamp);
+    const bool incomplete = !g.activities.empty() && !g.complete_estimates;
+    if (warming == stamp) {
+      ++skips;
+      EXPECT_TRUE(incomplete)
+          << "seed=" << seed << " scope=" << static_cast<int>(cfg.scope)
+          << " partial=" << cfg.partial << " event " << i << " ("
+          << to_string(events[i].where) << "): stamp unchanged since an "
+          << "incomplete snapshot, yet the fresh one is complete";
+    }
+    if (incomplete && !g.truncated) {
+      warming = stamp;
+    } else {
+      warming.reset();
+    }
+  }
+  return skips;
+}
+
+TEST(WarmingSkipOracle, UnchangedStampProvesTheSnapshotStillIncomplete) {
+  constexpr std::uint64_t kSkeletons = 5000;
+  long skips = 0;
+  for (std::uint64_t seed = 1; seed <= kSkeletons; ++seed) {
+    const RandomSkeleton sk(seed, 1 + static_cast<int>(seed % 4));
+    const std::vector<Event> events = record_run(sk, mix64(seed));
+    for (const EstimationScope scope :
+         {EstimationScope::kAggregate, EstimationScope::kPerDepth}) {
+      for (const bool partial : {false, true}) {
+        skips += check_warming_skip(sk, events, {scope, partial}, seed);
+      }
+    }
+    if (::testing::Test::HasFailure()) return;
+  }
+  // The property must not hold vacuously.
+  EXPECT_GT(skips, 10000);
 }
 
 // -------------------------------------------------------- Ewma properties --

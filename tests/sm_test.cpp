@@ -3,13 +3,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <mutex>
+#include <numeric>
 
 #include "adg/best_effort.hpp"
 #include "adg/limited_lp.hpp"
 #include "adg/timeline.hpp"
 #include "autonomic/controller.hpp"
 #include "autonomic/decision.hpp"
+#include "events/listener.hpp"
+#include "skel/typed.hpp"
 #include "workload/paper_example.hpp"
 #include "workload/wordcount.hpp"
 
@@ -521,6 +526,149 @@ TEST(ControllerSpacing, ManualClockEvaluatesEveryQualifyingEvent) {
     ctl.on_event(before);
   }
   EXPECT_EQ(ctl.evaluations(), qualifying);
+}
+
+// ------------------------------------------ warming evaluations and bounds --
+
+/// Flat map: input k splits into k seq muscles, each advancing `clock` by
+/// 1 ms; the result is k.
+Skel<int, int> flat_map(ManualClock& clock) {
+  auto fs = split_muscle<int, int>("fs", [](int k) {
+    std::vector<int> v(static_cast<std::size_t>(k));
+    std::iota(v.begin(), v.end(), 0);
+    return v;
+  });
+  auto fe = execute_muscle<int, int>("fe", [&clock](int x) {
+    clock.advance(0.001);
+    return x;
+  });
+  auto fm = merge_muscle<int, int>(
+      "fm", [](std::vector<int> v) { return static_cast<int>(v.size()); });
+  return Map(fs, Seq(fe), fm);
+}
+
+/// Every event of one run of `skel` on `input` at LP 1, in delivery order.
+std::vector<Event> record_events(const Skel<int, int>& skel, int input,
+                                 const ManualClock& clock) {
+  ResizableThreadPool pool(1, 1, &clock);
+  EventBus bus;
+  std::mutex mu;
+  std::vector<Event> events;
+  bus.add_listener(std::make_shared<ObserverListener>([&](const Event& e) {
+    std::lock_guard lock(mu);
+    events.push_back(e);
+  }));
+  Engine engine(pool, bus, &clock);
+  EXPECT_EQ(skel.input(input, engine).get(), input);
+  std::lock_guard lock(mu);
+  return events;
+}
+
+TEST(ControllerWarming, ColdWideMapRebuildsTheAdgAConstantNumberOfTimes) {
+  // Paper scenario 1 on a flat map: no estimate for fm until the final
+  // merge, so every evaluation of the run is a warming one. Each still
+  // counts, but only those after the stamp moved rebuild the ADG: the
+  // split, the first fe and the merge.
+  constexpr int kWidth = 1024;
+  ManualClock rec_clock(0.0);
+  const Skel<int, int> skel = flat_map(rec_clock);
+  const std::vector<Event> events = record_events(skel, kWidth, rec_clock);
+
+  ManualClock clock(0.0);
+  ResizableThreadPool pool(1, 1, &clock);
+  EstimateRegistry reg(0.5);
+  TrackerSet ts(reg);
+  AutonomicController ctl(pool, ts, &clock, ControllerConfig{});
+  ASSERT_TRUE(ctl.arm(0.5));
+  for (const Event& e : events) {
+    clock.set(e.timestamp);
+    ts.on_event(e);
+    ctl.on_event(e);
+  }
+  EXPECT_EQ(ctl.evaluations(), kWidth + 2);  // every fe, the split, the merge
+  EXPECT_EQ(ctl.adg_rebuilds(), 3);
+}
+
+TEST(ControllerWarming, NewRootRebuildsEvenWithoutNewEstimates) {
+  // A run abandoned mid-way (a failed muscle) leaves an incomplete root
+  // behind. The next run's root must be planned from a fresh snapshot even
+  // before it brings any new estimate.
+  ManualClock rec_clock(0.0);
+  const Skel<int, int> wide = flat_map(rec_clock);  // events point at its nodes
+  std::vector<Event> abandoned = record_events(wide, 8, rec_clock);
+  const auto first_fe =
+      std::find_if(abandoned.begin(), abandoned.end(), [](const Event& e) {
+        return e.when == When::kAfter && e.where == Where::kExecute;
+      });
+  ASSERT_NE(first_fe, abandoned.end());
+  abandoned.erase(first_fe + 1, abandoned.end());
+  auto fe = execute_muscle<int, int>("fe", [](int x) { return x; });
+  const Skel<int, int> seq = Seq(fe);
+  const std::vector<Event> next = record_events(seq, 1, rec_clock);
+
+  ManualClock clock(0.0);
+  ResizableThreadPool pool(1, 1, &clock);
+  EstimateRegistry reg(0.5);
+  reg.init_duration(fe.m->id(), 0.001);
+  TrackerSet ts(reg);
+  AutonomicController ctl(pool, ts, &clock, ControllerConfig{});
+  ASSERT_TRUE(ctl.arm(1.0));
+  for (const Event& e : abandoned) {
+    ts.on_event(e);
+    ctl.on_event(e);
+  }
+  ASSERT_EQ(ctl.evaluate_now().reason, DecisionReason::kIncompleteEstimates);
+  for (const Event& e : next) {
+    if (e.when == When::kBefore) ts.on_event(e);  // the seq is now running
+  }
+  EXPECT_NE(ctl.evaluate_now().reason, DecisionReason::kIncompleteEstimates);
+}
+
+TEST(TrackerSet, RetainsAboutOneRunOfInstancesOverManyRuns) {
+  // A long-lived set serves an endless series of runs: the trackers of a
+  // finished root are retired when the next root starts.
+  constexpr int kWidth = 4;
+  constexpr int kPerRun = kWidth + 1;  // the map and its seq children
+  ManualClock clock(0.0);
+  const Skel<int, int> skel = flat_map(clock);
+  ResizableThreadPool pool(1, 1, &clock);
+  EventBus bus;
+  EstimateRegistry reg(0.5);
+  TrackerSet ts(reg);
+  bus.add_listener(ts.as_listener());
+  Engine engine(pool, bus, &clock);
+  std::size_t peak = 0;
+  for (int run = 0; run < 10000; ++run) {
+    ASSERT_EQ(skel.input(kWidth, engine).get(), kWidth);
+    peak = std::max(peak, ts.tracked_instances());
+  }
+  EXPECT_EQ(ts.tracked_instances(), static_cast<std::size_t>(kPerRun));
+  EXPECT_LE(peak, static_cast<std::size_t>(kPerRun));
+  EXPECT_TRUE(ts.root_finished());
+  EXPECT_EQ(ts.snapshot(clock.now()).size(), static_cast<std::size_t>(kWidth + 2));
+}
+
+TEST(ControllerActions, LogKeepsOnlyTheMostRecentHistory) {
+  // Each refused arm logs one marker action and never clears the log (a
+  // rejected goal must not erase the previous episode), so repeated refusals
+  // drive the log just like an SLO controller armed for good.
+  ManualClock clock(0.0);
+  ResizableThreadPool pool(1, 2, &clock);
+  EstimateRegistry reg(0.5);
+  TrackerSet ts(reg);
+  AutonomicController ctl(pool, ts, &clock, ControllerConfig{});
+  constexpr long kArms = 3 * static_cast<long>(AutonomicController::kMaxHistory);
+  for (long k = 1; k <= kArms; ++k) {
+    clock.set(static_cast<double>(k));
+    ASSERT_FALSE(ctl.arm(0.0));
+  }
+  const std::vector<AutonomicController::Action> log = ctl.actions();
+  EXPECT_LE(log.size(), AutonomicController::kMaxHistory);
+  EXPECT_GE(log.size(), AutonomicController::kMaxHistory / 2);
+  EXPECT_EQ(log.back().t, static_cast<double>(kArms));  // newest kept
+  for (std::size_t i = 1; i < log.size(); ++i) {
+    EXPECT_EQ(log[i].t, log[i - 1].t + 1.0);  // contiguous, in time order
+  }
 }
 
 }  // namespace
