@@ -297,9 +297,9 @@ void BM_PoolSubmitDrain(benchmark::State& state) {
 BENCHMARK(BM_PoolSubmitDrain);
 
 // External injection under multi-producer contention: 4 threads push batches
-// through the lock-free MPSC injection path and wait for the drain. The
-// previous design serialized every external submit (and every worker's drain
-// probe) on one inject mutex, so producers convoyed exactly here.
+// onto the pool's injection queue (a WorkDeque no worker owns) and wait for
+// the drain. Producers and the workers' batch steals share that queue's one
+// lock, so this is where external submitters contend.
 void BM_PoolInjectDrain_Contended(benchmark::State& state) {
   static ResizableThreadPool* pool = nullptr;
   if (state.thread_index() == 0) pool = new ResizableThreadPool(2, 2);

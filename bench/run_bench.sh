@@ -15,9 +15,9 @@
 #   * transport/backend comparison (PR 5): real subprocess-worker join
 #     latency vs the simulated provision delay, the per-task transport
 #     bracket cost, and fig5 under --backend thread vs subprocess,
-#   * raw-speed pass: the lease-batching sweep (K in {1,4,16,64}), the
-#     injection-queue comparison (retired mutex+deque vs lock-free MPSC)
-#     and the per-LP scaling curve. Multi-tenant staggered traffic is now
+#   * raw-speed pass: the lease-batching sweep (K in {1,4,16,64}),
+#     external-submitter throughput through the pool at 1/4/8 producers and
+#     the per-LP scaling curve. Multi-tenant staggered traffic is now
 #     Zipf-skewed (--zipf-skew 1.1) instead of uniform,
 #   * coordinator scale (PR 7): per-arbitration latency at 1M registered /
 #     10K armed vs 10K/10K (the active-set flatness ratio, must stay <= 2x),
@@ -124,8 +124,8 @@ tb_args=()
 "${build_dir}/transport_bench" "${tb_args[@]+"${tb_args[@]}"}" \
   > "${transport_json}"
 
-# Raw-speed scaling numbers (PR 6): injection-queue before/after and the
-# per-LP scaling curve behind docs/perf.md.
+# Raw-speed scaling numbers: pool injection throughput per producer
+# count and the per-LP scaling curve behind docs/perf.md.
 sc_args=()
 [[ ${smoke} -eq 1 ]] && sc_args+=(--smoke)
 "${build_dir}/scaling_bench" "${sc_args[@]+"${sc_args[@]}"}" \

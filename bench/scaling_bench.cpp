@@ -1,31 +1,24 @@
-// Raw-speed scaling benchmark (PR 6): the numbers behind docs/perf.md's
-// scaling curve and the injection-queue before/after comparison.
+// Raw-speed scaling benchmark: the numbers behind docs/perf.md's scaling
+// curve.
 //
 // Sections (one JSON object on stdout, merged into BENCH_PR<N>.json):
-//   * injection_queue: the retired mutex+deque injection design (replicated
-//     here verbatim as a local struct) vs the lock-free Vyukov MPSC queue,
-//     P producers pushing concurrently with one draining consumer — the
-//     apples-to-apples contention comparison on the SAME commit;
 //   * pool_injection: external-submitter tasks/sec through the real pool at
-//     P producers (the end-to-end path: MPSC push -> drain claim -> deque);
+//     P producers (the end-to-end path: injection-queue push -> a worker's
+//     batch steal -> its deque);
 //   * scaling: tasks/sec (fan-out churn) and estimate-snapshot latency under
 //     concurrent writers, per LP — the multicore scaling curve. num_cpus is
 //     reported so a 1-core CI box's flat curve reads as what it is.
 //
 // Usage: scaling_bench [--smoke]
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstring>
-#include <deque>
 #include <iostream>
-#include <mutex>
 #include <thread>
 #include <vector>
 
 #include "est/registry.hpp"
-#include "runtime/mpsc_queue.hpp"
 #include "runtime/thread_pool.hpp"
 #include "util/csv.hpp"
 
@@ -37,85 +30,6 @@ double now_s() {
   return std::chrono::duration<double>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
-}
-
-// The pre-PR-6 injection queue, verbatim shape: producers, the workers'
-// emptiness probes and the consumer all serialize on one mutex, and the
-// consumer takes one task per probe (newest first).
-struct MutexInjectQueue {
-  std::mutex mu;
-  std::deque<Task> q;
-  void push(Task t) {
-    std::lock_guard lock(mu);
-    q.push_back(std::move(t));
-  }
-  bool pop(Task& out) {
-    std::lock_guard lock(mu);
-    if (q.empty()) return false;
-    out = std::move(q.back());
-    q.pop_back();
-    return true;
-  }
-  bool maybe_nonempty() {
-    std::lock_guard lock(mu);
-    return !q.empty();
-  }
-};
-
-struct QueueOps {
-  double push_ops = 0.0;   // producer phase: P threads pushing concurrently
-  double drain_ops = 0.0;  // consumer phase: single-threaded pop-until-empty
-};
-
-void benchmark_probe(MutexInjectQueue& q) { (void)q.maybe_nonempty(); }
-void benchmark_probe(const MpscTaskQueue& q) { (void)q.maybe_nonempty(); }
-
-/// P producers push `per_producer` no-op tasks concurrently (timed), then one
-/// consumer drains the whole backlog (timed separately). During the push
-/// phase two "idle worker" threads hammer the emptiness probe, exactly like
-/// the pool's try_get_task loop does: under the old design that probe took
-/// the same global mutex as every submit, under the MPSC it is a lock-free
-/// pointer compare. Separating the drain phase keeps a 1-core box from
-/// charging the consumer's timeslice against the producers.
-template <class Queue>
-QueueOps queue_contention_ops(int producers, long per_producer) {
-  Queue q;
-  const long total = producers * per_producer;
-  QueueOps out;
-  {
-    std::atomic<bool> stop{false};
-    std::vector<std::thread> probers;
-    for (int w = 0; w < 2; ++w) {
-      probers.emplace_back([&] {
-        while (!stop.load(std::memory_order_acquire)) {
-          benchmark_probe(q);
-        }
-      });
-    }
-    std::vector<std::thread> prods;
-    const double t0 = now_s();
-    for (int p = 0; p < producers; ++p) {
-      prods.emplace_back([&] {
-        for (long k = 0; k < per_producer; ++k) q.push([] {});
-      });
-    }
-    for (auto& t : prods) t.join();
-    const double dt = now_s() - t0;
-    stop.store(true, std::memory_order_release);
-    for (auto& t : probers) t.join();
-    out.push_ops = dt > 0.0 ? total / dt : 0.0;
-  }
-  {
-    Task t;
-    long got = 0;
-    const double t0 = now_s();
-    while (got < total) {
-      if (q.pop(t)) ++got;
-    }
-    const double dt = now_s() - t0;
-    out.drain_ops = got == total && dt > 0.0 ? total / dt : 0.0;
-  }
-  return out;
 }
 
 /// External submitters through the real pool: P threads submit `per_producer`
@@ -224,47 +138,6 @@ int main(int argc, char** argv) {
   std::cout << "  \"smoke\": " << json_bool(smoke) << ",\n";
   std::cout << "  \"num_cpus\": " << std::thread::hardware_concurrency()
             << ",\n";
-
-  // Median-of-5 per configuration, symmetrically for both queues: on a
-  // small CI box the scheduler's timeslice placement dominates single runs,
-  // and the median neither hides the mutex's convoy pathology (as a best-of
-  // would) nor charges either queue for one unlucky run.
-  const int reps = smoke ? 1 : 5;
-  const auto median_of = [reps](auto&& measure) {
-    std::vector<double> push, drain;
-    for (int rep = 0; rep < reps; ++rep) {
-      const QueueOps r = measure();
-      push.push_back(r.push_ops);
-      drain.push_back(r.drain_ops);
-    }
-    std::sort(push.begin(), push.end());
-    std::sort(drain.begin(), drain.end());
-    return QueueOps{push[push.size() / 2], drain[drain.size() / 2]};
-  };
-
-  std::cout << "  \"injection_queue\": [\n";
-  for (std::size_t i = 0; i < producer_counts.size(); ++i) {
-    const int p = producer_counts[i];
-    const QueueOps mutex_ops = median_of([&] {
-      return queue_contention_ops<MutexInjectQueue>(p, per_producer);
-    });
-    const QueueOps mpsc_ops = median_of([&] {
-      return queue_contention_ops<MpscTaskQueue>(p, per_producer);
-    });
-    std::cout << "    {\"producers\": " << p
-              << ", \"mutex_push_ops_per_sec\": " << fmt(mutex_ops.push_ops, 0)
-              << ", \"mpsc_push_ops_per_sec\": " << fmt(mpsc_ops.push_ops, 0)
-              << ", \"push_speedup\": "
-              << fmt(mutex_ops.push_ops > 0.0
-                         ? mpsc_ops.push_ops / mutex_ops.push_ops
-                         : 0.0,
-                     3)
-              << ", \"mutex_drain_ops_per_sec\": "
-              << fmt(mutex_ops.drain_ops, 0)
-              << ", \"mpsc_drain_ops_per_sec\": " << fmt(mpsc_ops.drain_ops, 0)
-              << "}" << (i + 1 < producer_counts.size() ? "," : "") << "\n";
-  }
-  std::cout << "  ],\n";
 
   std::cout << "  \"pool_injection\": [\n";
   for (std::size_t i = 0; i < producer_counts.size(); ++i) {

@@ -198,7 +198,7 @@ void ResizableThreadPool::submit(Task task, int tenant) {
   if (tls_worker.pool == this) {
     deques_[static_cast<std::size_t>(tls_worker.index)]->push(std::move(task));
   } else {
-    injected_.push(std::move(task));  // wait-free: one atomic exchange
+    injected_.push(std::move(task));
   }
   maybe_wake_one();
 }
@@ -454,37 +454,25 @@ bool ResizableThreadPool::try_get_task(int index, Task& out,
   //    capacity is scarce. This matches the paper's §5 trace, where the first
   //    inner merge lands right after the first chunk (7.6 s), not after all
   //    splits.
-  if (deques_[static_cast<std::size_t>(index)]->pop(out)) {
+  WorkDeque& own = *deques_[static_cast<std::size_t>(index)];
+  if (own.pop(out)) {
     queued_.fetch_sub(1, std::memory_order_acq_rel);
     return true;
   }
-  // 2. Injection queue. One worker at a time claims the drain and batch-
-  //    moves EVERYTHING into its own deque, so the cross-thread handoff is
-  //    paid once per drain, not once per task; siblings steal from the deque
-  //    as usual. Drain order (oldest first) + deque pop (newest first)
-  //    reproduce the newest-first service order the old global deque gave
-  //    externally submitted tasks. A pop may transiently miss a task whose
-  //    producer is mid-push; queued_ > 0 keeps this worker from sleeping, so
-  //    it simply comes back (same busy-retry shape as the tenant-queue
-  //    race below).
-  if (injected_.maybe_nonempty() &&
-      !inject_draining_.exchange(true, std::memory_order_acq_rel)) {
-    WorkDeque& own = *deques_[static_cast<std::size_t>(index)];
-    std::size_t drained = 0;
-    Task t;
-    while (injected_.pop(t)) {
-      own.push(std::move(t));
-      ++drained;
-    }
-    inject_draining_.store(false, std::memory_order_release);
-    // queued_ is untouched by the drain itself: the tasks merely moved
-    // queues, and the decrement below happens only for the task actually
-    // claimed — the accounting stays exact for queued()/wait_idle().
-    if (drained > 0 && own.pop(out)) {
-      queued_.fetch_sub(1, std::memory_order_acq_rel);
-      return true;
-    }
-  }
+  // Batch steal (steps 2 and 4): take the oldest task plus up to half of the
+  // source's remainder, so the wake-up that got us here is amortized over
+  // several tasks. The batch is re-pushed to our own deque outside the
+  // source's lock (no two-deque lock nesting).
+  std::vector<Task> batch;
+  const auto take_batch = [&](WorkDeque& from) {
+    if (!from.steal_batch(out, batch)) return false;
+    queued_.fetch_sub(1, std::memory_order_acq_rel);
+    if (!batch.empty()) own.push_batch(batch);
+    return true;
+  };
+  // 2. Injection queue: external submits, batch-stolen like a sibling's
+  //    deque; the rest of the batch becomes stealable from ours.
+  if (take_batch(injected_)) return true;
   // 3. Tenant run queues, grant-weighted pick (skipped in one relaxed load
   //    when no tagged work exists, so untagged workloads pay nothing). The
   //    scored pick can lose a race to a sibling taking the same queue's last
@@ -520,21 +508,12 @@ bool ResizableThreadPool::try_get_task(int index, Task& out,
     }
   }
   // 4. Steal from a sibling — parked siblings included, so work never
-  //    strands on a deque whose owner got parked mid-expansion. Batch steal:
-  //    take the oldest task plus up to half of the victim's remainder, so
-  //    the wake-up that got us here is amortized over several tasks. The
-  //    batch is re-pushed to our own deque outside the victim's lock (no
-  //    two-deque lock nesting).
+  //    strands on a deque whose owner got parked mid-expansion.
   const int n = static_cast<int>(deques_.size());
-  std::vector<Task> batch;
   for (int k = 1; k < n; ++k) {
     const int victim = (index + k) % n;
-    if (deques_[static_cast<std::size_t>(victim)]->steal_batch(out, batch)) {
-      queued_.fetch_sub(1, std::memory_order_acq_rel);
+    if (take_batch(*deques_[static_cast<std::size_t>(victim)])) {
       steals_.fetch_add(1, std::memory_order_relaxed);
-      if (!batch.empty()) {
-        deques_[static_cast<std::size_t>(index)]->push_batch(batch);
-      }
       return true;
     }
   }

@@ -13,14 +13,14 @@
 //    inside a task go to the submitting worker's own deque, so in steady
 //    state submit/pop touch one uncontended lock and the pool-wide mutex is
 //    never taken;
-//  * tasks submitted from outside the pool land in a lock-free MPSC
-//    injection queue (Vyukov-style: wait-free producer push; the one worker
-//    that claims the drain batch-moves everything into its own deque);
+//  * tasks submitted from outside the pool land in the injection queue, one
+//    more `WorkDeque` that no worker owns: a dry worker batch-steals from it
+//    (the oldest task plus up to half of the rest) into its own deque;
 //  * tenant-tagged tasks (multi-tenant mode) land in per-tenant run queues
 //    and are dispatched by a grant-weighted policy (see "Tenant-aware
 //    dispatch" below), turning the coordinator's LP grants into actual
 //    scheduling isolation;
-//  * a worker that runs dry drains the injection queue, then the tenant
+//  * a worker that runs dry takes from the injection queue, then the tenant
 //    queues, then steals the oldest task from a sibling's deque (parked
 //    siblings included, so no work ever strands on a parked worker);
 //  * the pool-wide mutex `mu_` is control-plane only: LP changes, parking,
@@ -72,7 +72,6 @@
 #include <vector>
 
 #include "runtime/lp_gauge.hpp"
-#include "runtime/mpsc_queue.hpp"
 #include "runtime/task.hpp"
 #include "runtime/work_queue.hpp"
 #include "util/clock.hpp"
@@ -232,7 +231,8 @@ class ResizableThreadPool {
   int max_lp() const { return max_lp_; }
   /// Number of OS threads created so far (parked workers included).
   int spawned_workers() const;
-  /// Tasks waiting in any queue (injection + all worker deques) right now.
+  /// Tasks waiting in any queue (injection, tenant run queues and all worker
+  /// deques) right now.
   std::size_t queued() const;
   /// Number of successful cross-worker steals since construction. A load
   /// observability stat: steals measure how often workers ran dry and
@@ -305,13 +305,9 @@ class ResizableThreadPool {
 
   // ---- data plane: per-worker deques + injection queue, no global mutex ----
   std::vector<std::unique_ptr<WorkDeque>> deques_;  // max_lp_ slots, fixed
-  // External submits push lock-free (one atomic exchange per producer); the
-  // worker that wins the `inject_draining_` claim batch-drains the whole
-  // queue into its own deque, where siblings can steal it. Replaces the old
-  // inject_mu_/std::deque pair, whose single mutex serialized every
-  // cross-thread submit against every injection poll.
-  MpscTaskQueue injected_;
-  std::atomic<bool> inject_draining_{false};
+  // External submits push here under the deque's own lock; a dry worker
+  // takes a batch with steal_batch, exactly as from a sibling's deque.
+  WorkDeque injected_;
   std::atomic<std::size_t> queued_{0};     // tasks waiting in any queue
   std::atomic<std::int64_t> inflight_{0};  // queued + currently running
   std::atomic<int> idle_sleepers_{0};      // runnable workers asleep on work_cv_

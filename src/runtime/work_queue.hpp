@@ -1,5 +1,7 @@
 #pragma once
-// Per-worker task deque for the work-stealing pool.
+// Per-worker task deque for the work-stealing pool. The pool's injection
+// queue for external submits is one more WorkDeque that no worker owns:
+// producers push, dry workers only ever steal_batch from it.
 //
 // The owner pushes and pops at the back (LIFO: newest first, so nested
 // skeletons run depth-first exactly as with the old single global deque).

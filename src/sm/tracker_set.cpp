@@ -1,5 +1,7 @@
 #include "sm/tracker_set.hpp"
 
+#include <algorithm>
+
 #include "events/listener.hpp"
 
 namespace askel {
@@ -136,6 +138,12 @@ AdgSnapshot TrackerSet::snapshot(TimePoint now) const {
   const Estimates est = reg_.snapshot();
   SnapshotCtx c{g, est, limits};
   roots_.back()->contribute(c, {});
+  // An event stamped after the caller read `now` may already be ingested
+  // (it raced the caller to mu_); observing it means that moment has passed.
+  for (const Activity& a : g.activities) {
+    if (a.state == ActivityState::kDone) g.now = std::max(g.now, a.end);
+    if (a.state == ActivityState::kRunning) g.now = std::max(g.now, a.start);
+  }
   return g;
 }
 

@@ -40,8 +40,10 @@ class TrackerSet {
   /// Listener adapter for EventBus registration.
   EventBus::ListenerPtr as_listener();
 
-  /// Build the ADG of the current root at observation time `now`.
-  /// Returns an empty snapshot if no execution has been observed.
+  /// Build the ADG of the current root at observation time `now`, raised to
+  /// the latest observed end or start if an event stamped after `now` was
+  /// already ingested. Returns an empty snapshot if no execution has been
+  /// observed.
   AdgSnapshot snapshot(TimePoint now) const;
 
   /// Root tracker of the most recently started execution (null if none).

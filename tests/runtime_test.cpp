@@ -495,6 +495,34 @@ TEST(ThreadPool, GrantDeficitOutranksSurplusTenant) {
   EXPECT_EQ(order[0], 1);  // granted tenant served first
 }
 
+TEST(ThreadPool, ExternalSubmitOutranksTenantBacklog) {
+  // Source priority: a dry worker takes the injection queue before any
+  // tenant run queue, so a standing tenant backlog cannot starve external
+  // submits. One held worker; three granted-tenant tasks queue first, then
+  // one untagged external task.
+  ResizableThreadPool pool(1, 1);
+  pool.set_tenant_grant(1, 1);
+  std::atomic<bool> gate_running{false};
+  std::atomic<bool> release{false};
+  pool.submit([&] {
+    gate_running.store(true);
+    while (!release.load()) std::this_thread::sleep_for(1ms);
+  });
+  while (!gate_running.load()) std::this_thread::sleep_for(1ms);
+  std::vector<int> order;
+  std::mutex order_mu;
+  const auto record = [&](int who) {
+    std::lock_guard lock(order_mu);
+    order.push_back(who);
+  };
+  for (int k = 0; k < 3; ++k) pool.submit([&] { record(1); }, 1);
+  pool.submit([&] { record(0); });
+  release.store(true);
+  pool.wait_idle();
+  ASSERT_EQ(order.size(), 4u);
+  EXPECT_EQ(order[0], 0);  // the external task ran first
+}
+
 TEST(ThreadPool, TenantOrderingKnobControlsDispatchOrder) {
   // One worker, blocked on an untagged gate task while tagged tasks queue
   // up in tenant 7's run queue — releasing the gate then drains the queue

@@ -279,6 +279,24 @@ TEST(TrackerSet, EmptySnapshotBeforeAnyEvent) {
   EXPECT_EQ(g.size(), 0u);
 }
 
+TEST(TrackerSet, SnapshotNeverPrecedesAnIngestedEvent) {
+  // A caller reads the clock (1.5), then an event stamped 2.0 reaches the
+  // set before the snapshot does: the snapshot's instant must not precede
+  // what it already observed.
+  auto fe = execute_muscle<int, int>("fe", [](int x) { return x; });
+  auto skel = Seq(fe);
+  EstimateRegistry reg(0.5);
+  TrackerSet ts(reg);
+  ts.on_event(ev(skel.node().get(), 1, -1, When::kBefore, Where::kExecute,
+                 fe.m->id(), 1.0));
+  ts.on_event(ev(skel.node().get(), 1, -1, When::kAfter, Where::kExecute,
+                 fe.m->id(), 2.0));
+  const AdgSnapshot g = ts.snapshot(1.5);
+  ASSERT_EQ(g.size(), 1u);
+  EXPECT_EQ(g.validate(), "");
+  EXPECT_DOUBLE_EQ(g.now, 2.0);
+}
+
 TEST(TrackerSet, ResetForgetsTrackersButKeepsEstimates) {
   auto fe = execute_muscle<int, int>("fe", [](int x) { return x; });
   auto skel = Seq(fe);

@@ -13,7 +13,6 @@
 
 #include "est/registry.hpp"
 #include "events/event_bus.hpp"
-#include "runtime/mpsc_queue.hpp"
 #include "runtime/thread_pool.hpp"
 
 namespace askel {
@@ -136,52 +135,13 @@ TEST(PoolStress, ShrinkRacingSubmitNeverStrandsATask) {
   }
 }
 
-// -------------------------------------------------------------------- mpsc --
-
-TEST(MpscQueueStress, MultiProducerExactCountAndPerProducerFifo) {
-  // Hammer the raw queue: many producers push concurrently while one
-  // consumer drains. pop() returning false is NOT "empty" — a producer may
-  // be mid-link — so the consumer retries until it has seen every task.
-  constexpr int kProducers = 8;
-  constexpr int kPerProducer = 4000;
-  MpscTaskQueue q;
-  std::vector<std::vector<int>> seen(kProducers);
-  std::thread consumer([&] {
-    long got = 0;
-    Task t;
-    while (got < static_cast<long>(kProducers) * kPerProducer) {
-      if (q.pop(t)) {
-        t();
-        ++got;
-      } else {
-        std::this_thread::yield();
-      }
-    }
-    EXPECT_FALSE(q.maybe_nonempty());
-  });
-  std::vector<std::thread> producers;
-  for (int p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&, p] {
-      for (int k = 0; k < kPerProducer; ++k) {
-        q.push([&seen, p, k] { seen[static_cast<std::size_t>(p)].push_back(k); });
-      }
-    });
-  }
-  for (auto& t : producers) t.join();
-  consumer.join();
-  for (int p = 0; p < kProducers; ++p) {
-    const auto& s = seen[static_cast<std::size_t>(p)];
-    ASSERT_EQ(s.size(), static_cast<std::size_t>(kPerProducer));
-    // Each producer's pushes come back in push order (global list order is
-    // a FIFO interleaving of the per-producer streams).
-    for (int k = 0; k < kPerProducer; ++k) EXPECT_EQ(s[static_cast<std::size_t>(k)], k);
-  }
-}
+// --------------------------------------------------------------- injection --
 
 TEST(MpscQueueStress, InjectionDrainUnderChurnKeepsExactAccounting) {
-  // End to end through the pool: external submitters race the lock-free
-  // injection path while the LP target oscillates (drain claimants park and
-  // respawn). wait_idle must see every task and queued() must end exact.
+  // End to end through the pool: external submitters race the injection
+  // queue while the LP target oscillates (workers holding injected batches
+  // park and respawn). wait_idle must see every task and queued() must end
+  // exact.
   ResizableThreadPool pool(1, 4);
   std::atomic<long> done{0};
   constexpr int kProducers = 6;
