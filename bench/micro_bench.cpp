@@ -298,8 +298,8 @@ BENCHMARK(BM_PoolSubmitDrain);
 
 // External injection under multi-producer contention: 4 threads push batches
 // onto the pool's injection queue (a WorkDeque no worker owns) and wait for
-// the drain. Producers and the workers' batch steals share that queue's one
-// lock, so this is where external submitters contend.
+// the drain. Producers and the draining worker share that queue's one lock,
+// so this is where external submitters contend.
 void BM_PoolInjectDrain_Contended(benchmark::State& state) {
   static ResizableThreadPool* pool = nullptr;
   if (state.thread_index() == 0) pool = new ResizableThreadPool(2, 2);

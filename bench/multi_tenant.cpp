@@ -196,14 +196,14 @@ AggressorOutcome run_aggressor_once(bool smoke, double scale, int budget,
   std::atomic<long> flood_done{0};
   std::atomic<int> flood_outstanding{0};
   const double flood_task_s = 0.05 * scale;  // sleep-calibrated, like muscles
-  // Hard deadline on the flood: under the FIFO baseline the victim's tasks
-  // share the untagged queues with the flood's, and wherever they are served
-  // newest first the flood's ever-newer tasks can keep the victim waiting.
-  // On a box with a spare core for the flooder that could be a livelock with
-  // no natural end (the flood only stops when the victim finishes). Long
-  // enough to outlive the whole victim run in the measured configurations,
-  // so the numbers are unaffected; on a pathological run the baseline
-  // degrades to a huge — finite — miss instead of hanging CI.
+  // Hard deadline on the flood: under the FIFO baseline the victim's root
+  // task sits in the LIFO injection queue BEHIND the flood's ever-newer
+  // tasks, and on a box with a spare core for the flooder that is a
+  // livelock with no natural end (the flood only stops when the victim
+  // finishes, which the flood prevents). Long enough to outlive the whole
+  // victim run in the measured configurations, so the numbers are
+  // unaffected; on a pathological run the baseline degrades to a huge —
+  // finite — miss instead of hanging CI.
   const double victim_goal_paper =
       wct_at_lp(timings, std::max(1, budget * 3 / 4)) * 1.35;
   const double victim_goal_s = victim_goal_paper * scale;

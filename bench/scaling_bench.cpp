@@ -4,7 +4,7 @@
 // Sections (one JSON object on stdout, merged into BENCH_PR<N>.json):
 //   * pool_injection: external-submitter tasks/sec through the real pool at
 //     P producers (the end-to-end path: injection-queue push -> a worker's
-//     batch steal -> its deque);
+//     drain -> its deque);
 //   * scaling: tasks/sec (fan-out churn) and estimate-snapshot latency under
 //     concurrent writers, per LP — the multicore scaling curve. num_cpus is
 //     reported so a 1-core CI box's flat curve reads as what it is.

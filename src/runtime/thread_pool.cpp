@@ -459,20 +459,22 @@ bool ResizableThreadPool::try_get_task(int index, Task& out,
     queued_.fetch_sub(1, std::memory_order_acq_rel);
     return true;
   }
-  // Batch steal (steps 2 and 4): take the oldest task plus up to half of the
-  // source's remainder, so the wake-up that got us here is amortized over
-  // several tasks. The batch is re-pushed to our own deque outside the
-  // source's lock (no two-deque lock nesting).
+  // 2. Injection queue (external submits): move all of it into our own deque
+  //    and pop the newest, so the cross-thread handoff is paid once per
+  //    drain and external tasks keep the old global deque's newest-first
+  //    order; siblings steal the rest oldest first. Under an external flood a
+  //    fresh request thus overtakes the standing backlog — the FIFO baselines
+  //    of service_bench and multi_tenant's aggressor scenario are measured
+  //    against this order. A sibling may steal the drained tasks before our
+  //    pop; then we just fall through.
   std::vector<Task> batch;
-  const auto take_batch = [&](WorkDeque& from) {
-    if (!from.steal_batch(out, batch)) return false;
-    queued_.fetch_sub(1, std::memory_order_acq_rel);
-    if (!batch.empty()) own.push_batch(batch);
-    return true;
-  };
-  // 2. Injection queue: external submits, batch-stolen like a sibling's
-  //    deque; the rest of the batch becomes stealable from ours.
-  if (take_batch(injected_)) return true;
+  if (injected_.take_all(batch)) {
+    own.push_batch(batch);
+    if (own.pop(out)) {
+      queued_.fetch_sub(1, std::memory_order_acq_rel);
+      return true;
+    }
+  }
   // 3. Tenant run queues, grant-weighted pick (skipped in one relaxed load
   //    when no tagged work exists, so untagged workloads pay nothing). The
   //    scored pick can lose a race to a sibling taking the same queue's last
@@ -508,12 +510,18 @@ bool ResizableThreadPool::try_get_task(int index, Task& out,
     }
   }
   // 4. Steal from a sibling — parked siblings included, so work never
-  //    strands on a deque whose owner got parked mid-expansion.
+  //    strands on a deque whose owner got parked mid-expansion. Batch steal:
+  //    take the oldest task plus up to half of the victim's remainder, so
+  //    the wake-up that got us here is amortized over several tasks. The
+  //    batch is re-pushed to our own deque outside the victim's lock (no
+  //    two-deque lock nesting).
   const int n = static_cast<int>(deques_.size());
   for (int k = 1; k < n; ++k) {
     const int victim = (index + k) % n;
-    if (take_batch(*deques_[static_cast<std::size_t>(victim)])) {
+    if (deques_[static_cast<std::size_t>(victim)]->steal_batch(out, batch)) {
+      queued_.fetch_sub(1, std::memory_order_acq_rel);
       steals_.fetch_add(1, std::memory_order_relaxed);
+      if (!batch.empty()) own.push_batch(batch);
       return true;
     }
   }

@@ -14,8 +14,8 @@
 //    state submit/pop touch one uncontended lock and the pool-wide mutex is
 //    never taken;
 //  * tasks submitted from outside the pool land in the injection queue, one
-//    more `WorkDeque` that no worker owns: a dry worker batch-steals from it
-//    (the oldest task plus up to half of the rest) into its own deque;
+//    more `WorkDeque` that no worker owns; a dry worker moves all of it into
+//    its own deque and pops the newest;
 //  * tenant-tagged tasks (multi-tenant mode) land in per-tenant run queues
 //    and are dispatched by a grant-weighted policy (see "Tenant-aware
 //    dispatch" below), turning the coordinator's LP grants into actual
@@ -306,7 +306,7 @@ class ResizableThreadPool {
   // ---- data plane: per-worker deques + injection queue, no global mutex ----
   std::vector<std::unique_ptr<WorkDeque>> deques_;  // max_lp_ slots, fixed
   // External submits push here under the deque's own lock; a dry worker
-  // takes a batch with steal_batch, exactly as from a sibling's deque.
+  // takes all of it (take_all) into its own deque, where siblings can steal.
   WorkDeque injected_;
   std::atomic<std::size_t> queued_{0};     // tasks waiting in any queue
   std::atomic<std::int64_t> inflight_{0};  // queued + currently running

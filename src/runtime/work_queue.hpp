@@ -1,7 +1,7 @@
 #pragma once
 // Per-worker task deque for the work-stealing pool. The pool's injection
 // queue for external submits is one more WorkDeque that no worker owns:
-// producers push, dry workers only ever steal_batch from it.
+// producers push, and a dry worker moves all of it into its own deque.
 //
 // The owner pushes and pops at the back (LIFO: newest first, so nested
 // skeletons run depth-first exactly as with the old single global deque).
@@ -56,6 +56,15 @@ class alignas(64) WorkDeque {
       extra.push_back(std::move(tasks_.front()));
       tasks_.pop_front();
     }
+    return true;
+  }
+
+  /// Move every task into `out`, oldest first (the pool's injection drain).
+  bool take_all(std::vector<Task>& out) {
+    std::lock_guard lock(mu_);
+    if (tasks_.empty()) return false;
+    for (Task& t : tasks_) out.push_back(std::move(t));
+    tasks_.clear();
     return true;
   }
 

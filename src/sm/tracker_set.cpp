@@ -131,15 +131,18 @@ EventBus::ListenerPtr TrackerSet::as_listener() {
 }
 
 AdgSnapshot TrackerSet::snapshot(TimePoint now) const {
-  std::lock_guard lock(mu_);
   AdgSnapshot g;
   g.now = now;
-  if (roots_.empty()) return g;
-  const Estimates est = reg_.snapshot();
-  SnapshotCtx c{g, est, limits};
-  roots_.back()->contribute(c, {});
+  {
+    std::lock_guard lock(mu_);
+    if (roots_.empty()) return g;
+    const Estimates est = reg_.snapshot();
+    SnapshotCtx c{g, est, limits};
+    roots_.back()->contribute(c, {});
+  }
   // An event stamped after the caller read `now` may already be ingested
   // (it raced the caller to mu_); observing it means that moment has passed.
+  // Reads only the local `g`, so it runs outside the lock.
   for (const Activity& a : g.activities) {
     if (a.state == ActivityState::kDone) g.now = std::max(g.now, a.end);
     if (a.state == ActivityState::kRunning) g.now = std::max(g.now, a.start);

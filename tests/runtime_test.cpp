@@ -523,6 +523,26 @@ TEST(ThreadPool, ExternalSubmitOutranksTenantBacklog) {
   EXPECT_EQ(order[0], 0);  // the external task ran first
 }
 
+TEST(ThreadPool, ExternalSubmitsRunNewestFirst) {
+  // A dry worker drains the injection queue into its own deque and pops the
+  // newest, so under an external flood a fresh submit overtakes the backlog
+  // (the FIFO-dispatch baselines of the service and multi-tenant benches are
+  // measured against this order).
+  ResizableThreadPool pool(1, 1);
+  std::atomic<bool> gate_running{false};
+  std::atomic<bool> release{false};
+  pool.submit([&] {
+    gate_running.store(true);
+    while (!release.load()) std::this_thread::sleep_for(1ms);
+  });
+  while (!gate_running.load()) std::this_thread::sleep_for(1ms);
+  std::vector<int> order;
+  for (int k = 0; k < 4; ++k) pool.submit([&order, k] { order.push_back(k); });
+  release.store(true);
+  pool.wait_idle();
+  EXPECT_EQ(order, (std::vector<int>{3, 2, 1, 0}));
+}
+
 TEST(ThreadPool, TenantOrderingKnobControlsDispatchOrder) {
   // One worker, blocked on an untagged gate task while tagged tasks queue
   // up in tenant 7's run queue — releasing the gate then drains the queue

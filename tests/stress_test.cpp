@@ -139,7 +139,7 @@ TEST(PoolStress, ShrinkRacingSubmitNeverStrandsATask) {
 
 TEST(MpscQueueStress, InjectionDrainUnderChurnKeepsExactAccounting) {
   // End to end through the pool: external submitters race the injection
-  // queue while the LP target oscillates (workers holding injected batches
+  // queue while the LP target oscillates (workers holding drained tasks
   // park and respawn). wait_idle must see every task and queued() must end
   // exact.
   ResizableThreadPool pool(1, 4);
