@@ -3,7 +3,13 @@
 baseline and fail on a >25% regression of the transport / injection /
 coordinator / service metrics.
 
-Usage: bench/check_regression.py BASELINE.json CURRENT.json [--tolerance 0.25]
+Usage: bench/check_regression.py BASELINE.json CURRENT.json [CURRENT.json ...]
+                                   [--tolerance 0.25]
+
+With several CURRENT files (repeated smoke runs), each metric is gated on
+the median of its per-run values: on a shared multi-core host a single
+smoke run fails a different within-run ratio each time, while the median
+of three does not move that far.
 
 The compared quantities are dimensionless within-run ratios, not absolute
 ns/ops numbers: CI runners and dev boxes differ in clock speed by far more
@@ -16,6 +22,7 @@ purpose is catching real regressions, not flaking on environment gaps.
 
 import argparse
 import json
+import statistics
 import sys
 
 
@@ -122,13 +129,15 @@ def load_json(path, role):
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("baseline")
-    ap.add_argument("current")
+    ap.add_argument("current", nargs="+",
+                    help="one or more bench JSONs of the change; a metric "
+                         "is gated on the median over them")
     ap.add_argument("--tolerance", type=float, default=0.25,
                     help="allowed fractional regression (default 0.25)")
     args = ap.parse_args()
 
     base = load_json(args.baseline, "baseline")
-    cur = load_json(args.current, "current")
+    currents = [load_json(path, "current") for path in args.current]
 
     failures = []
     compared = 0
@@ -137,7 +146,10 @@ def main():
         # sections and wrong-typed leaves), but a future bench-JSON shape
         # change must surface as a named metric error, not a traceback.
         try:
-            b, c = num(extract(base)), num(extract(cur))
+            b = num(extract(base))
+            runs = [v for v in (num(extract(cur)) for cur in currents)
+                    if v is not None]
+            c = statistics.median(runs) if runs else None
         except Exception as e:  # pragma: no cover - belt and braces
             sys.exit(f"error: metric '{name}' could not be read "
                      f"({type(e).__name__}: {e}).\n"
@@ -161,7 +173,10 @@ def main():
         else:
             regressed = change > tolerance
         verdict = "FAIL" if regressed else "ok"
-        print(f"{verdict:4} {name}: baseline={b:.4f} current={c:.4f} "
+        spread = ""
+        if len(runs) > 1:
+            spread = " (median of " + ", ".join(f"{v:.4f}" for v in runs) + ")"
+        print(f"{verdict:4} {name}: baseline={b:.4f} current={c:.4f}{spread} "
               f"change={change:+.1%} (tolerance ±{tolerance:.0%}, "
               f"{'higher' if higher_better else 'lower'} is better)")
         if regressed:

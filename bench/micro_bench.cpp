@@ -1,7 +1,7 @@
 // google-benchmark microbenchmarks of the framework's moving parts: event
 // dispatch overhead, skeleton interpretation overhead, scheduler costs on
-// growing ADGs, a cold run's whole MAPE loop, estimator updates, and pool
-// resize latency.
+// growing ADGs, one controller evaluation (full vs frontier snapshot), a
+// cold run's whole MAPE loop, estimator updates, and pool resize latency.
 //
 // These quantify the "very high level of adaptability" claim: per-event
 // monitoring is only viable if event dispatch and re-estimation are cheap
@@ -221,6 +221,43 @@ void BM_ColdStart(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_ColdStart)->Arg(256)->Arg(1024);
+
+// One controller evaluation on a warm flat map with `pct`% of its muscles
+// done and the next one running: TrackerSet::snapshot plus decide(), on the
+// full form (range(2) == 0) or on the frontier form with reused storage, as
+// the controller runs it. The frontier's cost should follow the pending
+// muscles, not the width.
+void BM_Evaluate(benchmark::State& state) {
+  const int width = static_cast<int>(state.range(0));
+  const long cut = width * state.range(1) / 100;
+  const bool frontier = state.range(2) != 0;
+  const ColdWideMap run = record_cold_wide_map(width);
+  EstimateRegistry reg(0.5);
+  TrackerSet warm(reg);  // a first run leaves every estimate in reg
+  for (const Event& e : run.events) warm.on_event(e);
+  TrackerSet trackers(reg);
+  long started = 0;
+  for (const Event& e : run.events) {
+    trackers.on_event(e);
+    if (e.when == When::kBefore && e.where == Where::kExecute && started++ == cut) {
+      break;
+    }
+  }
+  const TimePoint now = trackers.snapshot(0.0).now;
+  AdgSnapshot g;
+  DecisionWorkspace ws;
+  for (auto _ : state) {
+    if (frontier) {
+      trackers.snapshot(now, SnapshotForm::kFrontier, g);
+      benchmark::DoNotOptimize(decide(g, now, 4, 4, DecisionConfig{}, ws));
+    } else {
+      g = trackers.snapshot(now);
+      benchmark::DoNotOptimize(decide(g, now, 4, 4));
+    }
+  }
+  state.SetLabel(frontier ? "frontier" : "full");
+}
+BENCHMARK(BM_Evaluate)->ArgsProduct({{256, 1024, 4096}, {5, 50, 95}, {0, 1}});
 
 void BM_TrackerSnapshot_PaperExample(benchmark::State& state) {
   PaperExampleReplay replay;

@@ -6,7 +6,13 @@ namespace askel {
 
 Schedule best_effort(const AdgSnapshot& g) {
   Schedule s;
+  best_effort(g, s);
+  return s;
+}
+
+void best_effort(const AdgSnapshot& g, Schedule& s) {
   s.entries.resize(g.activities.size());
+  s.wct = std::max(0.0, g.done_end);
   for (const Activity& a : g.activities) {
     ScheduleEntry& e = s.entries[a.id];
     switch (a.state) {
@@ -32,7 +38,6 @@ Schedule best_effort(const AdgSnapshot& g) {
     }
     s.wct = std::max(s.wct, e.end);
   }
-  return s;
 }
 
 }  // namespace askel

@@ -19,11 +19,14 @@ struct ScheduleEntry {
 struct Schedule {
   /// Per-activity start/end, indexed by activity id.
   std::vector<ScheduleEntry> entries;
-  /// Max end over all activities (absolute time, same epoch as snapshot.now).
+  /// Max end over all activities, folded done ones included (absolute time,
+  /// same epoch as snapshot.now; never below 0).
   TimePoint wct = 0.0;
 };
 
 /// Best-effort schedule of a snapshot (infinite LP).
 Schedule best_effort(const AdgSnapshot& g);
+/// Same, into `s`, reusing its storage.
+void best_effort(const AdgSnapshot& g, Schedule& s);
 
 }  // namespace askel

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "adg/limited_lp.hpp"
-
 namespace askel {
 
 double remaining_work(const AdgSnapshot& g) {
@@ -37,16 +35,6 @@ TimePoint graham_upper(const AdgSnapshot& g, int lp) {
   // best_effort(g).wct is now + CP_tail (done activities never exceed now);
   // adding W/p yields the classic CP + W/p guarantee anchored at now.
   return best_effort(g).wct + remaining_work(g) / std::max(1, lp);
-}
-
-TimePoint estimate_wct(const AdgSnapshot& g, int lp, WctAlgorithm algo) {
-  switch (algo) {
-    case WctAlgorithm::kListSchedule:
-      return limited_lp(g, lp).wct;
-    case WctAlgorithm::kGrahamBound:
-      return graham_bound(g, lp);
-  }
-  return 0.0;  // unreachable
 }
 
 }  // namespace askel

@@ -35,13 +35,4 @@ TimePoint graham_bound(const AdgSnapshot& g, int lp);
 /// best_effort.wct + remaining_work/lp.
 TimePoint graham_upper(const AdgSnapshot& g, int lp);
 
-/// Which algorithm the controller uses to evaluate limited-LP completion.
-enum class WctAlgorithm : int {
-  kListSchedule,  // the paper's greedy simulation (most accurate, O((V+E) log V))
-  kGrahamBound,   // analytic bound (optimistic, O(V+E))
-};
-
-/// Dispatch: estimated completion time of `g` under `lp` workers.
-TimePoint estimate_wct(const AdgSnapshot& g, int lp, WctAlgorithm algo);
-
 }  // namespace askel

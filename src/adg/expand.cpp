@@ -6,33 +6,47 @@
 namespace askel {
 namespace {
 
+std::span<const int> one(const int& id) { return {&id, 1}; }
+
+void append(std::vector<int>& out, std::span<const int> ids) {
+  out.insert(out.end(), ids.begin(), ids.end());
+}
+
 class Expander {
  public:
-  Expander(const Estimates& est, AdgSnapshot& g, const ExpandLimits& lim)
-      : est_(est), g_(g), lim_(lim) {}
+  Expander(const Estimates& est, AdgSnapshot& g, IdBuffers& ids,
+           const ExpandLimits& lim)
+      : est_(est), g_(g), ids_(ids), lim_(lim) {}
 
+  // Each step appends to `out` the terminal ids of what it expanded; when the
+  // size guard stops it, it appends what it was given instead.
   // `depth` is the recursion guard; `ed` the estimation (dynamic nesting)
   // depth used for per-depth estimate lookups.
-  std::vector<int> expand(const SkelNode& node, std::vector<int> preds, int depth,
-                          int ed) {
+  void expand(const SkelNode& node, std::span<const int> preds, std::vector<int>& out,
+              int depth, int ed) {
     if (depth > lim_.max_depth || g_.size() >= lim_.max_activities) {
       g_.truncated = true;
-      return preds;
+      append(out, preds);
+      return;
     }
     switch (node.kind()) {
       case SkelKind::kSeq: {
         const auto& n = static_cast<const SeqNode&>(node);
-        return {add_muscle(n.fe(), std::move(preds), ed)};
+        out.push_back(add_muscle(n.fe(), preds, ed));
+        return;
       }
       case SkelKind::kFarm: {
         const auto& n = static_cast<const FarmNode&>(node);
-        return expand(*n.children()[0], std::move(preds), depth + 1, ed + 1);
+        expand(*n.children()[0], preds, out, depth + 1, ed + 1);
+        return;
       }
       case SkelKind::kPipe: {
         const auto& n = static_cast<const PipeNode&>(node);
         const auto kids = n.children();
-        std::vector<int> mid = expand(*kids[0], std::move(preds), depth + 1, ed + 1);
-        return expand(*kids[1], std::move(mid), depth + 1, ed + 1);
+        const IdBuffers::Lease mid = ids_.take();
+        expand(*kids[0], preds, *mid, depth + 1, ed + 1);
+        expand(*kids[1], *mid, out, depth + 1, ed + 1);
+        return;
       }
       case SkelKind::kWhile: {
         const auto& n = static_cast<const WhileNode&>(node);
@@ -41,62 +55,56 @@ class Expander {
         bool known = false;
         const long iters = rounded_cardinality(est_, n.fc().id(), 1, &known, ed);
         if (!known) g_.complete_estimates = false;
-        std::vector<int> cur = std::move(preds);
+        IdChain cur(ids_, preds);
         for (long k = 0; k < iters; ++k) {
           if (g_.size() >= lim_.max_activities) {
             g_.truncated = true;
-            return cur;
+            append(out, cur.ids());
+            return;
           }
-          cur = {add_muscle(n.fc(), std::move(cur), ed)};
-          cur = expand(*n.children()[0], std::move(cur), depth + 1, ed + 1);
+          cur.set(add_muscle(n.fc(), cur.ids(), ed));
+          cur.then([&](std::span<const int> in, std::vector<int>& into) {
+            expand(*n.children()[0], in, into, depth + 1, ed + 1);
+          });
         }
-        return {add_muscle(n.fc(), std::move(cur), ed)};
+        out.push_back(add_muscle(n.fc(), cur.ids(), ed));
+        return;
       }
       case SkelKind::kFor: {
         const auto& n = static_cast<const ForNode&>(node);
-        std::vector<int> cur = std::move(preds);
+        IdChain cur(ids_, preds);
         for (int k = 0; k < n.iterations(); ++k) {
           if (g_.size() >= lim_.max_activities) {
             g_.truncated = true;
-            return cur;
+            break;
           }
-          cur = expand(*n.children()[0], std::move(cur), depth + 1, ed + 1);
+          cur.then([&](std::span<const int> in, std::vector<int>& into) {
+            expand(*n.children()[0], in, into, depth + 1, ed + 1);
+          });
         }
-        return cur;
+        append(out, cur.ids());
+        return;
       }
       case SkelKind::kIf: {
         // The paper's v1.1b1 leaves If unsupported ("produces a duplication
         // of the whole ADG"). We track it conservatively by expanding the
         // true branch after the condition — documented deviation.
         const auto& n = static_cast<const IfNode&>(node);
-        std::vector<int> c = {
-            add_muscle(*static_cast<const ConditionMuscle*>(n.muscles()[0]),
-                       std::move(preds), ed)};
-        return expand(*n.true_branch(), std::move(c), depth + 1, ed + 1);
+        const int cond =
+            add_muscle(*static_cast<const ConditionMuscle*>(n.muscles()[0]), preds, ed);
+        expand(*n.true_branch(), one(cond), out, depth + 1, ed + 1);
+        return;
       }
       case SkelKind::kMap: {
         const auto& n = static_cast<const MapNode&>(node);
         bool known = false;
         const long card = rounded_cardinality(est_, n.fs().id(), 1, &known, ed);
         if (!known) g_.complete_estimates = false;
-        const int split_id = add_muscle(n.fs(), std::move(preds), ed);
-        std::vector<int> merge_preds;
-        // Each branch typically contributes one terminal; reserving the
-        // known cardinality avoids O(log card) grow-and-copy cycles on
-        // large-ADG expansion. Capped by the activity limit: the loop stops
-        // there anyway, and an estimate gone wild must not allocate
-        // gigabytes up front.
-        merge_preds.reserve(reserve_hint(card));
-        for (long k = 0; k < card; ++k) {
-          if (g_.size() >= lim_.max_activities) {
-            g_.truncated = true;
-            break;
-          }
-          std::vector<int> t = expand(*n.children()[0], {split_id}, depth + 1, ed + 1);
-          merge_preds.insert(merge_preds.end(), t.begin(), t.end());
-        }
-        if (merge_preds.empty()) merge_preds = {split_id};
-        return {add_muscle(n.fm(), std::move(merge_preds), ed)};
+        const int split_id = add_muscle(n.fs(), preds, ed);
+        fan_out(card, split_id, n.fm(), out, ed, [&](long, std::vector<int>& into) {
+          expand(*n.children()[0], one(split_id), into, depth + 1, ed + 1);
+        });
+        return;
       }
       case SkelKind::kFork: {
         const auto& n = static_cast<const ForkNode&>(node);
@@ -106,28 +114,20 @@ class Expander {
         const long card = rounded_cardinality(
             est_, fs->id(), static_cast<long>(n.branch_count()), &known, ed);
         if (!known) g_.complete_estimates = false;
-        const int split_id = add_muscle(*fs, std::move(preds), ed);
+        const int split_id = add_muscle(*fs, preds, ed);
         const auto kids = n.children();
-        std::vector<int> merge_preds;
-        merge_preds.reserve(reserve_hint(card));
-        for (long k = 0; k < card; ++k) {
-          if (g_.size() >= lim_.max_activities) {
-            g_.truncated = true;
-            break;
-          }
+        fan_out(card, split_id, *fm, out, ed, [&](long k, std::vector<int>& into) {
           const SkelNode& branch = *kids[static_cast<std::size_t>(k) % kids.size()];
-          std::vector<int> t = expand(branch, {split_id}, depth + 1, ed + 1);
-          merge_preds.insert(merge_preds.end(), t.begin(), t.end());
-        }
-        if (merge_preds.empty()) merge_preds = {split_id};
-        return {add_muscle(*fm, std::move(merge_preds), ed)};
+          expand(branch, one(split_id), into, depth + 1, ed + 1);
+        });
+        return;
       }
       case SkelKind::kDaC: {
         const auto& n = static_cast<const DacNode&>(node);
-        return expand_dac(n, std::move(preds), 0, estimated_depth(n, ed), depth, ed);
+        expand_dac(n, preds, out, 0, estimated_depth(n, ed), depth, ed);
+        return;
       }
     }
-    return preds;  // unreachable
   }
 
   long estimated_depth(const DacNode& n, int ed) {
@@ -139,49 +139,63 @@ class Expander {
   }
 
   /// One level of an expected d&C tree: condition, then its body.
-  std::vector<int> expand_dac(const DacNode& n, std::vector<int> preds, long level,
-                              long rec_depth, int depth, int ed) {
+  void expand_dac(const DacNode& n, std::span<const int> preds, std::vector<int>& out,
+                  long level, long rec_depth, int depth, int ed) {
     if (depth > lim_.max_depth || g_.size() >= lim_.max_activities) {
       g_.truncated = true;
-      return preds;
+      append(out, preds);
+      return;
     }
-    const int cond_id = add_muscle(n.fc(), std::move(preds), ed);
-    return dac_body(n, {cond_id}, level, rec_depth, level < rec_depth, depth, ed);
+    const int cond_id = add_muscle(n.fc(), preds, ed);
+    dac_body(n, one(cond_id), out, level, rec_depth, level < rec_depth, depth, ed);
   }
 
   /// What follows a d&C condition: the leaf skeleton when not dividing, else
   /// split / `branching` recursive children / merge.
-  std::vector<int> dac_body(const DacNode& n, std::vector<int> preds, long level,
-                            long rec_depth, bool divided, int depth, int ed) {
+  void dac_body(const DacNode& n, std::span<const int> preds, std::vector<int>& out,
+                long level, long rec_depth, bool divided, int depth, int ed) {
     if (depth > lim_.max_depth || g_.size() >= lim_.max_activities) {
       g_.truncated = true;
-      return preds;
+      append(out, preds);
+      return;
     }
     if (!divided) {
-      return expand(*n.children()[0], std::move(preds), depth + 1, ed + 1);
+      expand(*n.children()[0], preds, out, depth + 1, ed + 1);
+      return;
     }
     bool known = false;
     const long branching = rounded_cardinality(est_, n.fs().id(), 1, &known, ed);
     if (!known) g_.complete_estimates = false;
-    const int split_id = add_muscle(n.fs(), std::move(preds), ed);
-    std::vector<int> merge_preds;
-    merge_preds.reserve(reserve_hint(branching));
-    for (long k = 0; k < branching; ++k) {
+    const int split_id = add_muscle(n.fs(), preds, ed);
+    fan_out(branching, split_id, n.fm(), out, ed, [&](long, std::vector<int>& into) {
+      expand_dac(n, one(split_id), into, level + 1, rec_depth, depth + 1, ed + 1);
+    });
+  }
+
+ private:
+  /// `count` expanded branches after `split_id`, then the merge `fm` over
+  /// their terminals (over the split alone when there are none).
+  template <class Branch>
+  void fan_out(long count, int split_id, const Muscle& fm, std::vector<int>& out,
+               int ed, Branch&& branch) {
+    const IdBuffers::Lease merge_preds = ids_.take();
+    // Each branch typically contributes one terminal; reserving the known
+    // cardinality avoids O(log card) grow-and-copy cycles on large-ADG
+    // expansion.
+    merge_preds->reserve(reserve_hint(count));
+    for (long k = 0; k < count; ++k) {
       if (g_.size() >= lim_.max_activities) {
         g_.truncated = true;
         break;
       }
-      std::vector<int> t =
-          expand_dac(n, {split_id}, level + 1, rec_depth, depth + 1, ed + 1);
-      merge_preds.insert(merge_preds.end(), t.begin(), t.end());
+      branch(k, *merge_preds);
     }
-    if (merge_preds.empty()) merge_preds = {split_id};
-    return {add_muscle(n.fm(), std::move(merge_preds), ed)};
+    if (merge_preds->empty()) merge_preds->push_back(split_id);
+    out.push_back(add_muscle(fm, *merge_preds, ed));
   }
 
- private:
-  int add_muscle(const Muscle& m, std::vector<int> preds, int ed) {
-    return add_pending_muscle(g_, est_, m, std::move(preds), ed);
+  int add_muscle(const Muscle& m, std::span<const int> preds, int ed) {
+    return add_pending_muscle(g_, est_, m, preds, ed);
   }
 
   std::size_t reserve_hint(long cardinality) const {
@@ -199,6 +213,7 @@ class Expander {
 
   const Estimates& est_;
   AdgSnapshot& g_;
+  IdBuffers& ids_;
   const ExpandLimits& lim_;
 };
 
@@ -212,36 +227,64 @@ long rounded_cardinality(const Estimates& est, int muscle_id, long fallback,
   return std::max<long>(0, std::lround(*c));
 }
 
+void expand_expected(const SkelNode& node, const Estimates& est, AdgSnapshot& g,
+                     std::span<const int> preds, std::vector<int>& out,
+                     IdBuffers& ids, const ExpandLimits& lim, int est_depth) {
+  Expander(est, g, ids, lim).expand(node, preds, out, 0, est_depth);
+}
+
+void expand_expected_dac(const DacNode& node, const Estimates& est, AdgSnapshot& g,
+                         std::span<const int> preds, std::vector<int>& out,
+                         IdBuffers& ids, long level, const ExpandLimits& lim,
+                         int est_depth) {
+  Expander e(est, g, ids, lim);
+  e.expand_dac(node, preds, out, level, e.estimated_depth(node, est_depth), 0,
+               est_depth);
+}
+
+void expand_dac_body(const DacNode& node, const Estimates& est, AdgSnapshot& g,
+                     std::span<const int> preds, std::vector<int>& out,
+                     IdBuffers& ids, long level, bool divided,
+                     const ExpandLimits& lim, int est_depth) {
+  Expander e(est, g, ids, lim);
+  e.dac_body(node, preds, out, level, e.estimated_depth(node, est_depth), divided, 0,
+             est_depth);
+}
+
 std::vector<int> expand_expected(const SkelNode& node, const Estimates& est,
                                  AdgSnapshot& g, const std::vector<int>& preds,
                                  const ExpandLimits& lim, int est_depth) {
-  Expander e(est, g, lim);
-  return e.expand(node, preds, 0, est_depth);
+  IdBuffers ids;
+  std::vector<int> out;
+  expand_expected(node, est, g, preds, out, ids, lim, est_depth);
+  return out;
 }
 
 std::vector<int> expand_expected_dac(const DacNode& node, const Estimates& est,
                                      AdgSnapshot& g, const std::vector<int>& preds,
                                      long level, const ExpandLimits& lim,
                                      int est_depth) {
-  Expander e(est, g, lim);
-  return e.expand_dac(node, preds, level, e.estimated_depth(node, est_depth), 0,
-                      est_depth);
+  IdBuffers ids;
+  std::vector<int> out;
+  expand_expected_dac(node, est, g, preds, out, ids, level, lim, est_depth);
+  return out;
 }
 
 std::vector<int> expand_dac_body(const DacNode& node, const Estimates& est,
                                  AdgSnapshot& g, const std::vector<int>& preds,
                                  long level, bool divided, const ExpandLimits& lim,
                                  int est_depth) {
-  Expander e(est, g, lim);
-  return e.dac_body(node, preds, level, e.estimated_depth(node, est_depth), divided,
-                    0, est_depth);
+  IdBuffers ids;
+  std::vector<int> out;
+  expand_dac_body(node, est, g, preds, out, ids, level, divided, lim, est_depth);
+  return out;
 }
 
 int add_pending_muscle(AdgSnapshot& g, const Estimates& est, const Muscle& m,
-                       std::vector<int> preds, int est_depth) {
+                       std::span<const int> preds, int est_depth) {
   const auto t = est.t(m.id(), est_depth);
-  return g.add(make_pending(m.id(), m.name(), t.value_or(0.0), std::move(preds),
-                            t.has_value()));
+  return g.add(make_pending(m.id(), m.name(), t.value_or(0.0), {}, t.has_value()),
+               preds);
 }
 
 }  // namespace askel

@@ -16,9 +16,27 @@
 // change then — so popping the heap yields exactly the earliest-ready,
 // lowest-id choice a rescan of every pending activity would make.
 
+#include <utility>
+#include <vector>
+
 #include "adg/best_effort.hpp"
 
 namespace askel {
+
+/// Working storage of limited_lp. Reused across calls, it stops allocating
+/// once it has seen a snapshot of the current size.
+struct LimitedLpScratch {
+  Schedule schedule;
+  std::vector<TimePoint> running_ends;
+  std::vector<TimePoint> avail;  // min-heap of worker-free times
+  std::vector<TimePoint> ready;
+  std::vector<int> waiting;
+  std::vector<int> succ_begin;
+  std::vector<int> succ;
+  std::vector<int> fill;
+  std::vector<std::pair<TimePoint, int>> ready_now;   // sorted, consumed in order
+  std::vector<std::pair<TimePoint, int>> ready_heap;  // min-heap
+};
 
 /// Greedy list schedule of the snapshot's running+pending activities on `lp`
 /// workers. Done activities keep their actual times and hold no worker;
@@ -27,5 +45,7 @@ namespace askel {
 /// std::logic_error if a pending activity can never become ready (a cycle or
 /// an out-of-range predecessor id).
 Schedule limited_lp(const AdgSnapshot& g, int lp);
+/// Same, computed in `ws`; returns ws.schedule.
+const Schedule& limited_lp(const AdgSnapshot& g, int lp, LimitedLpScratch& ws);
 
 }  // namespace askel

@@ -9,9 +9,12 @@ namespace askel {
 namespace {
 
 /// Duty-cycle floor: an evaluation that cost c seconds is followed by at
-/// least kEvalSpacingFactor * c of quiet, so Analyze holds about 1/10 of one
-/// core however wide the ADG grows.
-constexpr double kEvalSpacingFactor = 10.0;
+/// least kEvalSpacingFactor * c of quiet, so Analyze holds about 1/50 of one
+/// core however wide the ADG grows. Planning on the frontier snapshot made
+/// an evaluation about 5x cheaper; the factor rose from 10 by that ratio, so
+/// wide_map keeps its cadence (~35 evaluations per run) and banks the
+/// saving as CPU.
+constexpr double kEvalSpacingFactor = 50.0;
 
 }  // namespace
 
@@ -262,10 +265,11 @@ Decision AutonomicController::evaluate_locked(TimePoint now) {
       d.new_lp = current;
       d.reason = DecisionReason::kIncompleteEstimates;
     } else {
-      const AdgSnapshot g = trackers_.snapshot(now);
+      trackers_.snapshot(now, SnapshotForm::kFrontier, frontier_);
       ++adg_rebuilds_;
-      d = decide(g, goal_abs_, current, effective_max_lp(), cfg_.decision);
-      if (d.reason == DecisionReason::kIncompleteEstimates && !g.truncated) {
+      d = decide(frontier_, goal_abs_, current, effective_max_lp(), cfg_.decision,
+                 workspace_);
+      if (d.reason == DecisionReason::kIncompleteEstimates && !frontier_.truncated) {
         warming_stamp_ = stamp;
       } else {
         warming_stamp_.reset();
@@ -305,6 +309,11 @@ long AutonomicController::evaluations() const {
 long AutonomicController::adg_rebuilds() const {
   std::lock_guard lock(mu_);
   return adg_rebuilds_;
+}
+
+Duration AutonomicController::last_evaluation_cost() const {
+  std::lock_guard lock(mu_);
+  return last_eval_cost_;
 }
 
 void AutonomicController::log_action_locked(const Action& a) {

@@ -2,13 +2,20 @@
 // AutonomicController: closes the MAPE loop.
 //
 // Monitor  — the TrackerSet listener mirrors the execution (events);
-// Analyze  — on After-muscle events the controller snapshots the ADG and
-//            estimates best-effort / limited-LP completion times (every
-//            event, unless min_interval or the duty-cycle floor spaces
-//            evaluations out). While estimates are still warming up, the
-//            snapshot is rebuilt only when the TrackerSet's resolution
-//            stamp moved since the last incomplete one — otherwise the
-//            outcome is known to be kIncompleteEstimates again;
+// Analyze  — on After-muscle events the controller takes the frontier
+//            snapshot of the ADG (running and pending activities; the done
+//            past folded, see adg/snapshot.hpp) and estimates best-effort /
+//            limited-LP completion times, reusing its snapshot and decide()
+//            workspace (a steady-state evaluation of a flat map allocates
+//            nothing). It
+//            evaluates on every such event unless min_interval or the
+//            duty-cycle floor spaces evaluations out: after an evaluation
+//            that cost c, the next waits at least 50c, so Analyze holds
+//            about 2% of one core however wide the ADG grows. While
+//            estimates are still warming up, the snapshot is rebuilt only
+//            when the TrackerSet's resolution stamp moved since the last
+//            incomplete one — otherwise the outcome is known to be
+//            kIncompleteEstimates again;
 // Plan     — decision.cpp picks the LP;
 // Execute  — ResizableThreadPool::set_target_lp applies it immediately.
 //
@@ -53,8 +60,8 @@ struct ControllerConfig {
   SloDecisionConfig slo;
   /// Minimum wall-clock spacing between evaluations (0 = evaluate on every
   /// qualifying event; matches the paper's per-event reactivity). The
-  /// controller also enforces a duty-cycle floor of a fixed multiple of the
-  /// last evaluation's measured cost, so on wide ADGs the MAPE loop holds a
+  /// controller also enforces a duty-cycle floor of 50x the last
+  /// evaluation's measured cost, so on wide ADGs the MAPE loop holds a
   /// bounded share of one core whatever this is set to.
   Duration min_interval = 0.0;
 };
@@ -146,6 +153,9 @@ class AutonomicController {
   /// ADG snapshots built since arm: evaluations minus the warming ones
   /// answered from an unchanged resolution stamp (and minus SLO-mode ones).
   long adg_rebuilds() const;
+  /// What the last evaluation cost on the controller's clock, the quantity
+  /// the duty-cycle floor multiplies (0 under a ManualClock).
+  Duration last_evaluation_cost() const;
 
  private:
   Decision evaluate_locked(TimePoint now);
@@ -188,6 +198,10 @@ class AutonomicController {
   /// Resolution stamp read before the last snapshot, kept only when that
   /// snapshot was incomplete and not truncated.
   std::optional<ResolutionStamp> warming_stamp_;
+  /// The last frontier snapshot and decide()'s scratch, reused by every
+  /// evaluation.
+  AdgSnapshot frontier_;
+  DecisionWorkspace workspace_;
   std::vector<Action> actions_;
 };
 

@@ -29,9 +29,15 @@ std::string to_string(DecisionReason r) {
 
 Decision decide(const AdgSnapshot& g, TimePoint goal_abs, int current_lp,
                 int max_lp, const DecisionConfig& cfg) {
+  DecisionWorkspace ws;
+  return decide(g, goal_abs, current_lp, max_lp, cfg, ws);
+}
+
+Decision decide(const AdgSnapshot& g, TimePoint goal_abs, int current_lp,
+                int max_lp, const DecisionConfig& cfg, DecisionWorkspace& ws) {
   Decision d;
   d.new_lp = current_lp;
-  if (g.activities.empty()) {
+  if (g.size() == 0) {
     d.reason = DecisionReason::kEmptySnapshot;
     return d;
   }
@@ -42,10 +48,13 @@ Decision decide(const AdgSnapshot& g, TimePoint goal_abs, int current_lp,
     return d;
   }
 
-  const Schedule be = best_effort(g);
+  const Schedule& be = ws.best_effort;
+  best_effort(g, ws.best_effort);
   d.best_effort_wct = be.wct;
-  d.optimal_lp = std::max(1, peak_concurrency(concurrency_profile(be)));
-  d.current_lp_wct = estimate_wct(g, current_lp, cfg.wct_algorithm);
+  d.optimal_lp =
+      std::max({1, g.past_peak, peak_concurrency(be, ws.starts, ws.ends)});
+  auto wct_at = [&](int lp) { return limited_lp(g, lp, ws.limited).wct; };
+  d.current_lp_wct = wct_at(current_lp);
 
   if (be.wct > goal_abs) {
     // Even infinite parallelism misses the goal: allocate toward the optimal
@@ -91,7 +100,7 @@ Decision decide(const AdgSnapshot& g, TimePoint goal_abs, int current_lp,
     // (Limited-LP WCT is non-increasing in LP under the paper's assumption
     // of non-strictly-increasing speedup, so first hit = smallest.)
     for (int k = current_lp + 1; k <= max_lp; ++k) {
-      if (estimate_wct(g, k, cfg.wct_algorithm) <= goal_abs) {
+      if (wct_at(k) <= goal_abs) {
         d.new_lp = k;
         d.reason = DecisionReason::kIncreaseToGoal;
         return d;
@@ -105,7 +114,7 @@ Decision decide(const AdgSnapshot& g, TimePoint goal_abs, int current_lp,
 
   if (cfg.allow_decrease && current_lp > 1) {
     const int half = std::max(1, current_lp / 2);
-    if (estimate_wct(g, half, cfg.wct_algorithm) <= goal_abs) {
+    if (wct_at(half) <= goal_abs) {
       d.new_lp = half;
       d.reason = DecisionReason::kDecreaseHalf;
       return d;

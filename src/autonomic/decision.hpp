@@ -14,7 +14,9 @@
 //    threads; if it can, it decreases the number of threads to the half" —
 //    deliberately slower than the increase path.
 
-#include "adg/bounds.hpp"
+#include <vector>
+
+#include "adg/limited_lp.hpp"
 #include "adg/snapshot.hpp"
 #include "est/tail_tracker.hpp"
 
@@ -53,10 +55,6 @@ struct DecisionConfig {
   int ramp_factor = 3;
   /// Disable the halving decrease (ablation knob).
   bool allow_decrease = true;
-  /// How limited-LP completion times are estimated: the paper's greedy list
-  /// schedule, or the O(V+E) Graham bound (optimistic — may under-allocate;
-  /// see the wct_algorithms bench for the accuracy/overhead trade-off).
-  WctAlgorithm wct_algorithm = WctAlgorithm::kListSchedule;
 };
 
 struct Decision {
@@ -70,9 +68,22 @@ struct Decision {
   int optimal_lp = 0;
 };
 
-/// Decide the LP for a snapshot given the absolute-time goal.
+/// Working storage of decide(): the best-effort schedule, limited_lp's
+/// scratch and the profile's change points. A controller keeps one, so its
+/// evaluations stop allocating once they have seen a snapshot of this size.
+struct DecisionWorkspace {
+  Schedule best_effort;
+  LimitedLpScratch limited;
+  std::vector<TimePoint> starts;
+  std::vector<TimePoint> ends;
+};
+
+/// Decide the LP for a snapshot (either form) given the absolute-time goal.
 Decision decide(const AdgSnapshot& g, TimePoint goal_abs, int current_lp,
                 int max_lp, const DecisionConfig& cfg = {});
+/// Same, computed in `ws`.
+Decision decide(const AdgSnapshot& g, TimePoint goal_abs, int current_lp,
+                int max_lp, const DecisionConfig& cfg, DecisionWorkspace& ws);
 
 /// Deadline pressure of a decision: how far the limited-LP completion
 /// estimate misses the goal, relative to the time still remaining until the

@@ -200,6 +200,20 @@ Estimates EstimateRegistry::snapshot() const {
   return out;
 }
 
+void EstimateRegistry::snapshot_into(Estimates& out) const {
+  out.set_scope(scope_);
+  std::lock_guard lock(mu_);
+  for (const auto& [key, st] : stats_) {
+    out.map_[key] = Estimates::Entry{st.t(), st.cardinality()};
+  }
+  if (out.map_.size() == stats_.size()) return;
+  // Keys only disappear on clear(): rebuild rather than hunt for them.
+  out.map_.clear();
+  for (const auto& [key, st] : stats_) {
+    out.map_.emplace(key, Estimates::Entry{st.t(), st.cardinality()});
+  }
+}
+
 std::uint64_t EstimateRegistry::version() const {
   std::lock_guard lock(mu_);
   return version_;

@@ -131,6 +131,9 @@ class EstimateRegistry {
 
   /// Consistent snapshot of everything, built under the registry lock.
   Estimates snapshot() const;
+  /// Same, into `out`, reusing its entries (no allocation when the set of
+  /// estimated keys is unchanged since `out` was last filled).
+  void snapshot_into(Estimates& out) const;
   /// Monotonic write counter; bumped by every observe/init/clear. Exposed
   /// for tests and monitoring ("did anything change since I last looked?").
   std::uint64_t version() const;

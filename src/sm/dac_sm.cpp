@@ -13,7 +13,7 @@ void DacTracker::on_event(const Event& ev, EstimateRegistry& reg) {
   switch (ev.where) {
     case Where::kCondition:
       if (ev.when == When::kBefore) {
-        cond_ = open_rec(ev, dac().fc().name().c_str());
+        open_rec(cond_, ev, dac().fc().name().c_str());
       } else if (cond_ && !cond_->done()) {
         close_rec(*cond_, ev);
         observe_duration_of(reg, *cond_);
@@ -21,7 +21,7 @@ void DacTracker::on_event(const Event& ev, EstimateRegistry& reg) {
       break;
     case Where::kSplit:
       if (ev.when == When::kBefore) {
-        split_ = open_rec(ev, dac().fs().name().c_str());
+        open_rec(split_, ev, dac().fs().name().c_str());
       } else if (split_ && !split_->done()) {
         close_rec(*split_, ev);
         observe_duration_of(reg, *split_);
@@ -31,7 +31,7 @@ void DacTracker::on_event(const Event& ev, EstimateRegistry& reg) {
       break;
     case Where::kMerge:
       if (ev.when == When::kBefore) {
-        merge_ = open_rec(ev, dac().fm().name().c_str());
+        open_rec(merge_, ev, dac().fm().name().c_str());
       } else if (merge_ && !merge_->done()) {
         close_rec(*merge_, ev);
         observe_duration_of(reg, *merge_);
@@ -56,11 +56,10 @@ long DacTracker::divide_depth() const {
   return 1 + deepest;
 }
 
-std::vector<int> DacTracker::contribute(SnapshotCtx& c, std::vector<int> preds) const {
-  if (!cond_) {
-    return expand_expected_dac(dac(), c.est, c.g, preds, level_, c.limits, depth_);
-  }
-  const int cond_id = add_record(c, *cond_, std::move(preds));
+void DacTracker::contribute(SnapshotCtx& c, std::span<const int> preds,
+                            std::vector<int>& out) const {
+  if (!cond_) return expand_dac(c, preds, out, level_, depth_);
+  const int cond_id = add_record(c, *cond_, preds);
 
   if (!cond_->done()) {
     // Condition still running: assume the estimated-depth decision.
@@ -68,29 +67,23 @@ std::vector<int> DacTracker::contribute(SnapshotCtx& c, std::vector<int> preds) 
     const long rec_depth =
         rounded_cardinality(c.est, dac().fc().id(), 0, &known, depth_);
     if (!known) c.g.complete_estimates = false;
-    return expand_dac_body(dac(), c.est, c.g, {cond_id}, level_, level_ < rec_depth,
-                           c.limits, depth_);
+    return expand_dac_body(c, one(cond_id), out, level_, level_ < rec_depth);
   }
 
   if (!divided()) {
     // Leaf: the nested ∆ handles this element.
-    if (!children_.empty()) return children_[0]->contribute(c, {cond_id});
-    return expand_expected(*node_->children()[0], c.est, c.g, {cond_id}, c.limits,
-                           depth_ + 1);
+    if (!children_.empty()) return children_[0]->emit(c, one(cond_id), out);
+    return expand(c, *node_->children()[0], one(cond_id), out, depth_ + 1);
   }
 
   if (!split_) {
     // Divide decided but split not yet started (sub-microsecond window).
-    return expand_dac_body(dac(), c.est, c.g, {cond_id}, level_, true, c.limits,
-                           depth_);
+    return expand_dac_body(c, one(cond_id), out, level_, true);
   }
-  const int split_id = add_record(c, *split_, {cond_id});
+  const int split_id = add_record(c, *split_, one(cond_id));
 
-  std::vector<int> merge_preds;
-  for (const TrackerPtr& child : children_) {
-    std::vector<int> t = child->contribute(c, {split_id});
-    merge_preds.insert(merge_preds.end(), t.begin(), t.end());
-  }
+  const IdBuffers::Lease merge_preds = c.ids.take();
+  for (const TrackerPtr& child : children_) child->emit(c, one(split_id), *merge_preds);
   long card;
   if (split_->done()) {
     card = split_->cardinality;
@@ -102,14 +95,11 @@ std::vector<int> DacTracker::contribute(SnapshotCtx& c, std::vector<int> preds) 
   }
   const long pending = std::max<long>(0, card - static_cast<long>(children_.size()));
   for (long k = 0; k < pending; ++k) {
-    std::vector<int> t = expand_expected_dac(dac(), c.est, c.g, {split_id}, level_ + 1,
-                                             c.limits, depth_ + 1);
-    merge_preds.insert(merge_preds.end(), t.begin(), t.end());
+    expand_dac(c, one(split_id), *merge_preds, level_ + 1, depth_ + 1);
   }
-  if (merge_preds.empty()) merge_preds = {split_id};
-
-  if (merge_) return {add_record(c, *merge_, std::move(merge_preds))};
-  return {add_pending_muscle(c.g, c.est, dac().fm(), std::move(merge_preds), depth_)};
+  if (merge_preds->empty()) merge_preds->push_back(split_id);
+  out.push_back(merge_ ? add_record(c, *merge_, *merge_preds)
+                       : add_pending(c, dac().fm(), *merge_preds, depth_));
 }
 
 }  // namespace askel

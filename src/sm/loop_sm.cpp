@@ -35,61 +35,68 @@ void WhileTracker::on_event(const Event& ev, EstimateRegistry& reg) {
   }
 }
 
-std::vector<int> WhileTracker::contribute(SnapshotCtx& c, std::vector<int> preds) const {
-  if (conds_.empty())
-    return expand_expected(*node_, c.est, c.g, preds, c.limits, depth_);
+void WhileTracker::contribute(SnapshotCtx& c, std::span<const int> preds,
+                              std::vector<int>& out) const {
+  if (conds_.empty()) return expand(c, *node_, preds, out, depth_);
   const SkelNode& body = *node_->children()[0];
   const ConditionMuscle& fc = *static_cast<const ConditionMuscle*>(node_->muscles()[0]);
+  auto body_step = [&](std::span<const int> in, std::vector<int>& into) {
+    expand(c, body, in, into, depth_ + 1);
+  };
+  IdChain cur(c.ids, preds);
+  auto cond_step = [&] { cur.set(add_pending(c, fc, cur.ids(), depth_)); };
 
-  std::vector<int> cur = std::move(preds);
   std::size_t child_cursor = 0;
   bool cond_running = false;
   for (const MuscleRec& rec : conds_) {
-    cur = {add_record(c, rec, std::move(cur))};
+    cur.set(add_record(c, rec, cur.ids()));
     if (!rec.done()) {
       cond_running = true;
       break;
     }
     if (rec.cond_result) {
       if (child_cursor < children_.size()) {
-        cur = children_[child_cursor++]->contribute(c, std::move(cur));
+        const Tracker& child = *children_[child_cursor++];
+        cur.then([&](std::span<const int> in, std::vector<int>& into) {
+          child.emit(c, in, into);
+        });
       } else {
         // Body queued but its first event has not arrived yet.
-        cur = expand_expected(body, c.est, c.g, cur, c.limits, depth_ + 1);
+        cur.then(body_step);
       }
     }
   }
-  if (finished_) return cur;
+  if (!finished_) {
+    // Expected tail: remaining = |fc| estimate minus observed `true` results.
+    bool known = false;
+    const long est_total =
+        rounded_cardinality(c.est, fc.id(), true_count_, &known, depth_);
+    if (!known) c.g.complete_estimates = false;
+    const long remaining = std::max<long>(0, est_total - true_count_);
 
-  // Expected tail: remaining = |fc| estimate minus observed `true` results.
-  bool known = false;
-  const long est_total =
-      rounded_cardinality(c.est, fc.id(), true_count_, &known, depth_);
-  if (!known) c.g.complete_estimates = false;
-  const long remaining = std::max<long>(0, est_total - true_count_);
-
-  if (cond_running) {
-    // The running condition counts as the next of the `remaining` trues (if
-    // any are expected); its body and the rest of the loop follow it.
-    if (remaining > 0) {
-      cur = expand_expected(body, c.est, c.g, cur, c.limits, depth_ + 1);
-      for (long k = 1; k < remaining; ++k) {
-        cur = {add_pending_muscle(c.g, c.est, fc, std::move(cur), depth_)};
-        cur = expand_expected(body, c.est, c.g, cur, c.limits, depth_ + 1);
+    if (cond_running) {
+      // The running condition counts as the next of the `remaining` trues (if
+      // any are expected); its body and the rest of the loop follow it.
+      if (remaining > 0) {
+        cur.then(body_step);
+        for (long k = 1; k < remaining; ++k) {
+          cond_step();
+          cur.then(body_step);
+        }
+        cond_step();
       }
-      cur = {add_pending_muscle(c.g, c.est, fc, std::move(cur), depth_)};
+    } else {
+      // Last recorded step was a completed body (or its expectation): the
+      // next condition is pending, then the remaining loop turns, then the
+      // final (false) condition.
+      for (long k = 0; k < remaining; ++k) {
+        cond_step();
+        cur.then(body_step);
+      }
+      cond_step();
     }
-    return cur;
   }
-  // Last recorded step was a completed body (or its expectation): the next
-  // condition is pending, then the remaining loop turns, then the final
-  // (false) condition.
-  for (long k = 0; k < remaining; ++k) {
-    cur = {add_pending_muscle(c.g, c.est, fc, std::move(cur), depth_)};
-    cur = expand_expected(body, c.est, c.g, cur, c.limits, depth_ + 1);
-  }
-  cur = {add_pending_muscle(c.g, c.est, fc, std::move(cur), depth_)};
-  return cur;
+  out.insert(out.end(), cur.ids().begin(), cur.ids().end());
 }
 
 // -------------------------------------------------------------------- for --
@@ -98,16 +105,24 @@ void ForTracker::on_event(const Event& ev, EstimateRegistry&) {
   if (ev.where == Where::kSkeleton && ev.when == When::kAfter) mark_finished();
 }
 
-std::vector<int> ForTracker::contribute(SnapshotCtx& c, std::vector<int> preds) const {
+void ForTracker::contribute(SnapshotCtx& c, std::span<const int> preds,
+                            std::vector<int>& out) const {
   const auto& n = static_cast<const ForNode&>(*node_);
   const SkelNode& body = *node_->children()[0];
-  std::vector<int> cur = std::move(preds);
-  for (const TrackerPtr& child : children_) cur = child->contribute(c, std::move(cur));
+  IdChain cur(c.ids, preds);
+  for (const TrackerPtr& child : children_) {
+    cur.then([&](std::span<const int> in, std::vector<int>& into) {
+      child->emit(c, in, into);
+    });
+  }
   const long remaining =
       std::max<long>(0, n.iterations() - static_cast<long>(children_.size()));
-  for (long k = 0; k < remaining; ++k)
-    cur = expand_expected(body, c.est, c.g, cur, c.limits, depth_ + 1);
-  return cur;
+  for (long k = 0; k < remaining; ++k) {
+    cur.then([&](std::span<const int> in, std::vector<int>& into) {
+      expand(c, body, in, into, depth_ + 1);
+    });
+  }
+  out.insert(out.end(), cur.ids().begin(), cur.ids().end());
 }
 
 }  // namespace askel

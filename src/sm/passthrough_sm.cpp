@@ -8,10 +8,10 @@ void FarmTracker::on_event(const Event& ev, EstimateRegistry&) {
   if (ev.where == Where::kSkeleton && ev.when == When::kAfter) mark_finished();
 }
 
-std::vector<int> FarmTracker::contribute(SnapshotCtx& c, std::vector<int> preds) const {
-  if (!children_.empty()) return children_[0]->contribute(c, std::move(preds));
-  return expand_expected(*node_->children()[0], c.est, c.g, preds, c.limits,
-                         depth_ + 1);
+void FarmTracker::contribute(SnapshotCtx& c, std::span<const int> preds,
+                             std::vector<int>& out) const {
+  if (!children_.empty()) return children_[0]->emit(c, preds, out);
+  expand(c, *node_->children()[0], preds, out, depth_ + 1);
 }
 
 // --------------------------------------------------------------------- if --
@@ -23,7 +23,7 @@ std::vector<int> FarmTracker::contribute(SnapshotCtx& c, std::vector<int> preds)
 void IfTracker::on_event(const Event& ev, EstimateRegistry& reg) {
   if (ev.where == Where::kCondition) {
     if (ev.when == When::kBefore) {
-      cond_ = open_rec(ev, node_->muscles()[0]->name().c_str());
+      open_rec(cond_, ev, node_->muscles()[0]->name().c_str());
     } else if (cond_ && !cond_->done()) {
       close_rec(*cond_, ev);
       observe_duration_of(reg, *cond_);
@@ -33,15 +33,16 @@ void IfTracker::on_event(const Event& ev, EstimateRegistry& reg) {
   }
 }
 
-std::vector<int> IfTracker::contribute(SnapshotCtx& c, std::vector<int> preds) const {
-  if (!cond_) return expand_expected(*node_, c.est, c.g, preds, c.limits, depth_);
-  const std::vector<int> cur = {add_record(c, *cond_, std::move(preds))};
-  if (!children_.empty()) return children_[0]->contribute(c, cur);
+void IfTracker::contribute(SnapshotCtx& c, std::span<const int> preds,
+                           std::vector<int>& out) const {
+  if (!cond_) return expand(c, *node_, preds, out, depth_);
+  const int cond = add_record(c, *cond_, preds);
+  if (!children_.empty()) return children_[0]->emit(c, one(cond), out);
   const auto& n = static_cast<const IfNode&>(*node_);
   const SkelNode* branch = cond_->done()
                                ? (cond_->cond_result ? n.true_branch() : n.false_branch())
                                : n.true_branch();
-  return expand_expected(*branch, c.est, c.g, cur, c.limits, depth_ + 1);
+  expand(c, *branch, one(cond), out, depth_ + 1);
 }
 
 }  // namespace askel

@@ -1,3 +1,5 @@
+#include <algorithm>
+
 #include "sm/trackers.hpp"
 
 namespace askel {
@@ -6,15 +8,19 @@ void PipeTracker::on_event(const Event& ev, EstimateRegistry&) {
   if (ev.where == Where::kSkeleton && ev.when == When::kAfter) mark_finished();
 }
 
-std::vector<int> PipeTracker::contribute(SnapshotCtx& c, std::vector<int> preds) const {
+void PipeTracker::contribute(SnapshotCtx& c, std::span<const int> preds,
+                             std::vector<int>& out) const {
   const auto stages = node_->children();
-  std::vector<int> cur = std::move(preds);
-  std::size_t k = 0;
   // Stages run strictly in order, so attached children are stage 0..k-1.
-  for (; k < children_.size(); ++k) cur = children_[k]->contribute(c, std::move(cur));
-  for (; k < stages.size(); ++k)
-    cur = expand_expected(*stages[k], c.est, c.g, cur, c.limits, depth_ + 1);
-  return cur;
+  IdChain cur(c.ids, preds);
+  const std::size_t steps = std::max(children_.size(), stages.size());
+  for (std::size_t k = 0; k < steps; ++k) {
+    cur.then([&](std::span<const int> in, std::vector<int>& into) {
+      if (k < children_.size()) return children_[k]->emit(c, in, into);
+      expand(c, *stages[k], in, into, depth_ + 1);
+    });
+  }
+  out.insert(out.end(), cur.ids().begin(), cur.ids().end());
 }
 
 }  // namespace askel

@@ -8,7 +8,7 @@ void SeqTracker::on_event(const Event& ev, EstimateRegistry& reg) {
   if (ev.where != Where::kExecute) return;
   if (ev.when == When::kBefore) {
     const auto& seq = static_cast<const SeqNode&>(*node_);
-    fe_ = open_rec(ev, seq.fe().name().c_str());
+    open_rec(fe_, ev, seq.fe().name().c_str());
   } else if (fe_ && !fe_->done()) {
     close_rec(*fe_, ev);
     observe_duration_of(reg, *fe_);
@@ -16,9 +16,10 @@ void SeqTracker::on_event(const Event& ev, EstimateRegistry& reg) {
   }
 }
 
-std::vector<int> SeqTracker::contribute(SnapshotCtx& c, std::vector<int> preds) const {
-  if (!fe_) return expand_expected(*node_, c.est, c.g, preds, c.limits, depth_);
-  return {add_record(c, *fe_, std::move(preds))};
+void SeqTracker::contribute(SnapshotCtx& c, std::span<const int> preds,
+                            std::vector<int>& out) const {
+  if (!fe_) return expand(c, *node_, preds, out, depth_);
+  out.push_back(add_record(c, *fe_, preds));
 }
 
 }  // namespace askel

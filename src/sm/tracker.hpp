@@ -10,12 +10,16 @@
 // One tracker exists per dynamic instance (per exec_id); TrackerSet routes
 // events, maintains the parent/child tree, and assembles whole-run snapshots.
 
+#include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "adg/expand.hpp"
 #include "adg/snapshot.hpp"
+#include "adg/timeline.hpp"
 #include "est/registry.hpp"
 #include "events/event.hpp"
 #include "skel/nodes.hpp"
@@ -30,6 +34,9 @@ struct MuscleRec {
   std::optional<TimePoint> end;
   bool cond_result = false;
   int cardinality = -1;
+  /// History generation this record was added to once done (0 = none); see
+  /// TrackerSet's frontier snapshots.
+  mutable std::uint64_t history_gen = 0;
 
   bool done() const { return end.has_value(); }
 };
@@ -37,11 +44,18 @@ struct MuscleRec {
 class Tracker;
 using TrackerPtr = std::shared_ptr<Tracker>;
 
-/// Context handed to Tracker::contribute when building a snapshot.
+/// Context handed to Tracker::emit when building a snapshot.
 struct SnapshotCtx {
   AdgSnapshot& g;
   const Estimates& est;
   ExpandLimits limits;
+  IdBuffers& ids;
+  /// Frontier form: the run's concurrency history, which receives each done
+  /// record once (null in the full form), and its current generation.
+  ConcurrencyHistory* history = nullptr;
+  std::uint64_t history_gen = 0;
+  /// Expansion calls so far (frontier bookkeeping).
+  long expansions = 0;
 };
 
 class Tracker {
@@ -58,33 +72,64 @@ class Tracker {
   /// Dynamic nesting depth (0 = root instance); set by TrackerSet at attach.
   /// Feeds per-depth estimation (EstimationScope::kPerDepth).
   int depth() const { return depth_; }
-  void set_depth(int d) { depth_ = d; }
 
   /// Handle an event with ev.exec_id == exec_id(). Updates internal state
   /// and folds actuals into `reg`.
   virtual void on_event(const Event& ev, EstimateRegistry& reg) = 0;
 
-  /// A nested instance sent its first event; attach it in arrival order.
-  virtual void attach_child(TrackerPtr child) { children_.push_back(std::move(child)); }
+  /// A nested instance sent its first event; attach it in arrival order
+  /// (sets its parent and depth).
+  void attach_child(TrackerPtr child);
 
   /// Emit this instance's activities. `preds` are the snapshot ids the
-  /// instance waits on; returns the terminal activity ids its result
-  /// depends on.
-  virtual std::vector<int> contribute(SnapshotCtx& c, std::vector<int> preds) const = 0;
+  /// instance waits on; appends to `out` the terminal activity ids its result
+  /// depends on. In the frontier form, done records fold away (kFolded in
+  /// the id lists) and a settled subtree (nothing left to run, nothing
+  /// expanded) is not walked again: what it folds is replayed from a cache.
+  void emit(SnapshotCtx& c, std::span<const int> preds, std::vector<int>& out) const;
+
+  /// This instance (or a descendant) may have changed: drop the settled
+  /// cache here and on every settled ancestor.
+  void unsettle();
+
+  /// True once (then false) after an event replaced a record that a
+  /// frontier snapshot had already added to the concurrency history.
+  bool take_replaced_history() { return std::exchange(replaced_history_, false); }
 
  protected:
+  /// The kind-specific part of emit().
+  virtual void contribute(SnapshotCtx& c, std::span<const int> preds,
+                          std::vector<int>& out) const = 0;
+
   void mark_finished() { finished_ = true; }
 
-  /// Emit one activity for a muscle record (done or running); running
-  /// durations use the per-depth estimate of this instance's depth.
-  int add_record(SnapshotCtx& c, const MuscleRec& rec, std::vector<int> preds) const;
+  /// Emit one activity for a muscle record (done or running) and return its
+  /// id; running durations use the per-depth estimate of this instance's
+  /// depth. In the frontier form a done record folds away: kFolded.
+  int add_record(SnapshotCtx& c, const MuscleRec& rec,
+                 std::span<const int> preds) const;
+
+  /// Expected expansion of `node` at estimation depth `est_depth`, and one
+  /// pending muscle (the trackers' views of adg/expand.hpp).
+  void expand(SnapshotCtx& c, const SkelNode& node, std::span<const int> preds,
+              std::vector<int>& out, int est_depth) const;
+  void expand_dac(SnapshotCtx& c, std::span<const int> preds, std::vector<int>& out,
+                  long level, int est_depth) const;
+  void expand_dac_body(SnapshotCtx& c, std::span<const int> preds,
+                       std::vector<int>& out, long level, bool divided) const;
+  int add_pending(SnapshotCtx& c, const Muscle& m, std::span<const int> preds,
+                  int est_depth) const;
 
   /// Fold a closed record's duration into the registry at this depth.
   void observe_duration_of(EstimateRegistry& reg, const MuscleRec& rec) const;
 
-  /// Record helpers shared by concrete trackers.
+  /// Open a record in `slot` (replacing any earlier one).
+  void open_rec(std::optional<MuscleRec>& slot, const Event& ev, const char* label);
   static MuscleRec open_rec(const Event& ev, const char* fallback_label);
   static void close_rec(MuscleRec& rec, const Event& ev);
+
+  /// `id` as a one-element id list.
+  static std::span<const int> one(const int& id) { return {&id, 1}; }
 
   const SkelNode* node_;
   std::int64_t exec_id_;
@@ -92,6 +137,17 @@ class Tracker {
   int depth_ = 0;
   bool finished_ = false;
   std::vector<TrackerPtr> children_;
+
+ private:
+  Tracker* parent_ = nullptr;
+  bool replaced_history_ = false;
+  // Frontier cache, written by emit() under the TrackerSet lock: valid while
+  // settled_gen_ equals the history generation.
+  mutable std::uint64_t settled_gen_ = 0;
+  mutable std::size_t settled_preds_ = 0;      // preds it settled with
+  mutable std::size_t settled_terminals_ = 0;  // kFolded terminals it emits
+  mutable std::size_t settled_folded_ = 0;
+  mutable TimePoint settled_done_end_ = kNoTime;
 };
 
 /// Create the tracker matching `node->kind()`.

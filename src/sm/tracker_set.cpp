@@ -12,21 +12,120 @@ Tracker::Tracker(const SkelNode* node, std::int64_t exec_id,
                  std::int64_t parent_exec_id)
     : node_(node), exec_id_(exec_id), parent_exec_id_(parent_exec_id) {}
 
+void Tracker::attach_child(TrackerPtr child) {
+  child->parent_ = this;
+  child->depth_ = depth_ + 1;
+  children_.push_back(std::move(child));
+}
+
+void Tracker::unsettle() {
+  // A tracker is settled only while its whole subtree is, so the walk stops
+  // at the first tracker without a cache to drop.
+  for (Tracker* t = this; t != nullptr && t->settled_gen_ != 0; t = t->parent_) {
+    t->settled_gen_ = 0;
+  }
+}
+
+namespace {
+
+bool all_folded(std::span<const int> ids) {
+  return std::all_of(ids.begin(), ids.end(), [](int id) { return id == kFolded; });
+}
+
+}  // namespace
+
+void Tracker::emit(SnapshotCtx& c, std::span<const int> preds,
+                   std::vector<int>& out) const {
+  if (c.history == nullptr) {
+    contribute(c, preds, out);
+    return;
+  }
+  if (settled_gen_ == c.history_gen && preds.size() == settled_preds_ &&
+      all_folded(preds)) {
+    c.g.folded += settled_folded_;
+    c.g.done_end = std::max(c.g.done_end, settled_done_end_);
+    out.insert(out.end(), settled_terminals_, kFolded);
+    return;
+  }
+  const std::size_t activities = c.g.activities.size();
+  const std::size_t folded = c.g.folded;
+  const std::size_t terminals = out.size();
+  const long expansions = c.expansions;
+  const TimePoint done_end = c.g.done_end;
+  c.g.done_end = kNoTime;
+  contribute(c, preds, out);
+  const TimePoint subtree_end = c.g.done_end;
+  c.g.done_end = std::max(done_end, subtree_end);
+  // Settled: given all-folded preds, the walk only folded done records — no
+  // activity added (so no terminal id or flag changed) and nothing expanded
+  // (whose size guard depends on where in the snapshot it runs). Until an
+  // event reaches the subtree, a new walk with as many preds would do the
+  // same. Every child it walked settled too, which unsettle() relies on.
+  if (all_folded(preds) && c.g.activities.size() == activities &&
+      c.expansions == expansions) {
+    settled_gen_ = c.history_gen;
+    settled_preds_ = preds.size();
+    settled_terminals_ = out.size() - terminals;
+    settled_folded_ = c.g.folded - folded;
+    settled_done_end_ = subtree_end;
+  } else {
+    settled_gen_ = 0;
+  }
+}
+
 int Tracker::add_record(SnapshotCtx& c, const MuscleRec& rec,
-                        std::vector<int> preds) const {
+                        std::span<const int> preds) const {
   if (rec.done()) {
-    return c.g.add(
-        make_done(rec.muscle_id, rec.label, rec.start, *rec.end, std::move(preds)));
+    if (c.history != nullptr) {
+      c.g.fold_done(*rec.end);
+      if (rec.history_gen != c.history_gen) {
+        c.history->add(rec.start, *rec.end);
+        rec.history_gen = c.history_gen;
+      }
+      return kFolded;
+    }
+    return c.g.add(make_done(rec.muscle_id, rec.label, rec.start, *rec.end, {}), preds);
   }
   const auto t = c.est.t(rec.muscle_id, depth_);
-  Activity a = make_running(rec.muscle_id, rec.label, rec.start, t.value_or(0.0),
-                            std::move(preds));
+  Activity a = make_running(rec.muscle_id, rec.label, rec.start, t.value_or(0.0), {});
   a.has_estimate = t.has_value();
-  return c.g.add(std::move(a));
+  return c.g.add(std::move(a), preds);
+}
+
+void Tracker::expand(SnapshotCtx& c, const SkelNode& node, std::span<const int> preds,
+                     std::vector<int>& out, int est_depth) const {
+  ++c.expansions;
+  expand_expected(node, c.est, c.g, preds, out, c.ids, c.limits, est_depth);
+}
+
+void Tracker::expand_dac(SnapshotCtx& c, std::span<const int> preds,
+                         std::vector<int>& out, long level, int est_depth) const {
+  ++c.expansions;
+  expand_expected_dac(static_cast<const DacNode&>(*node_), c.est, c.g, preds, out,
+                      c.ids, level, c.limits, est_depth);
+}
+
+void Tracker::expand_dac_body(SnapshotCtx& c, std::span<const int> preds,
+                              std::vector<int>& out, long level, bool divided) const {
+  ++c.expansions;
+  askel::expand_dac_body(static_cast<const DacNode&>(*node_), c.est, c.g, preds, out,
+                         c.ids, level, divided, c.limits, depth_);
+}
+
+int Tracker::add_pending(SnapshotCtx& c, const Muscle& m, std::span<const int> preds,
+                         int est_depth) const {
+  ++c.expansions;
+  return add_pending_muscle(c.g, c.est, m, preds, est_depth);
 }
 
 void Tracker::observe_duration_of(EstimateRegistry& reg, const MuscleRec& rec) const {
   reg.observe_duration(rec.muscle_id, depth_, *rec.end - rec.start);
+}
+
+void Tracker::open_rec(std::optional<MuscleRec>& slot, const Event& ev,
+                       const char* label) {
+  if (slot && slot->history_gen != 0) replaced_history_ = true;
+  slot = open_rec(ev, label);
 }
 
 MuscleRec Tracker::open_rec(const Event& ev, const char* fallback_label) {
@@ -83,8 +182,8 @@ void TrackerSet::on_event(const Event& ev) {
     by_exec_.emplace(ev.exec_id, t);
     const auto pit = by_exec_.find(ev.parent_exec_id);
     if (pit != by_exec_.end()) {
+      pit->second->unsettle();
       pit->second->attach_child(t);
-      t->set_depth(pit->second->depth() + 1);
       // Recursion-level bookkeeping for d&C: a DaC child of a DaC instance of
       // the same static node sits one level deeper.
       auto* child_dac = dynamic_cast<DacTracker*>(t.get());
@@ -96,10 +195,13 @@ void TrackerSet::on_event(const Event& ev) {
       retire_finished_roots_locked();
       roots_.push_back(t);
       bump_epoch_locked();
+      restart_history_locked();
     }
   }
   const bool was_finished = t->finished();
+  t->unsettle();
   t->on_event(ev, reg_);
+  if (t->take_replaced_history()) restart_history_locked();
   bool resolved = ev.when == When::kAfter &&
                   (ev.where == Where::kSplit || ev.where == Where::kCondition ||
                    ev.where == Where::kMerge);
@@ -132,22 +234,32 @@ EventBus::ListenerPtr TrackerSet::as_listener() {
 
 AdgSnapshot TrackerSet::snapshot(TimePoint now) const {
   AdgSnapshot g;
+  snapshot(now, SnapshotForm::kFull, g);
+  return g;
+}
+
+void TrackerSet::snapshot(TimePoint now, SnapshotForm form, AdgSnapshot& g) const {
+  g.clear();
   g.now = now;
+  std::lock_guard lock(mu_);
+  if (roots_.empty()) return;
+  reg_.snapshot_into(est_);
+  const bool frontier = form == SnapshotForm::kFrontier;
+  SnapshotCtx c{g, est_, limits, ids_, frontier ? &history_ : nullptr, history_gen_};
   {
-    std::lock_guard lock(mu_);
-    if (roots_.empty()) return g;
-    const Estimates est = reg_.snapshot();
-    SnapshotCtx c{g, est, limits};
-    roots_.back()->contribute(c, {});
+    const IdBuffers::Lease terminals = ids_.take();
+    roots_.back()->emit(c, {}, *terminals);
   }
   // An event stamped after the caller read `now` may already be ingested
   // (it raced the caller to mu_); observing it means that moment has passed.
-  // Reads only the local `g`, so it runs outside the lock.
+  g.now = std::max(g.now, g.done_end);
+  running_starts_.clear();
   for (const Activity& a : g.activities) {
-    if (a.state == ActivityState::kDone) g.now = std::max(g.now, a.end);
-    if (a.state == ActivityState::kRunning) g.now = std::max(g.now, a.start);
+    if (a.state != ActivityState::kRunning) continue;
+    g.now = std::max(g.now, a.start);
+    running_starts_.push_back(a.start);
   }
-  return g;
+  if (frontier) g.past_peak = history_.peak_before(g.now, running_starts_);
 }
 
 TrackerPtr TrackerSet::current_root() const {
@@ -189,6 +301,12 @@ void TrackerSet::reset() {
   by_exec_.clear();
   roots_.clear();
   bump_epoch_locked();
+  restart_history_locked();
+}
+
+void TrackerSet::restart_history_locked() {
+  history_.clear();
+  ++history_gen_;
 }
 
 }  // namespace askel

@@ -40,11 +40,17 @@ class TrackerSet {
   /// Listener adapter for EventBus registration.
   EventBus::ListenerPtr as_listener();
 
-  /// Build the ADG of the current root at observation time `now`, raised to
-  /// the latest observed end or start if an event stamped after `now` was
-  /// already ingested. Returns an empty snapshot if no execution has been
-  /// observed.
+  /// Build the full ADG of the current root at observation time `now`,
+  /// raised to the latest observed end or start if an event stamped after
+  /// `now` was already ingested. Returns an empty snapshot if no execution
+  /// has been observed.
   AdgSnapshot snapshot(TimePoint now) const;
+  /// Same, in the requested form, into `out` (whose storage is reused). The
+  /// frontier form walks the same trackers but folds done records away and
+  /// skips subtrees that have settled since an earlier frontier snapshot, so
+  /// its cost follows the running and pending activities; it carries the
+  /// done past as `done_end` and `past_peak` (see adg/snapshot.hpp).
+  void snapshot(TimePoint now, SnapshotForm form, AdgSnapshot& out) const;
 
   /// Root tracker of the most recently started execution (null if none).
   TrackerPtr current_root() const;
@@ -71,6 +77,9 @@ class TrackerSet {
   /// Drop the trackers of every finished root (caller holds mu_).
   void retire_finished_roots_locked();
   void bump_epoch_locked() { epoch_.fetch_add(1, std::memory_order_release); }
+  /// Start a new concurrency history: every record and settled cache of the
+  /// old generation is forgotten at once (caller holds mu_).
+  void restart_history_locked();
 
   mutable std::mutex mu_;
   EstimateRegistry& reg_;
@@ -78,6 +87,13 @@ class TrackerSet {
   EventBus::ListenerPtr listener_;  // lazily-built shared bus adapter
   std::unordered_map<std::int64_t, TrackerPtr> by_exec_;
   std::vector<TrackerPtr> roots_;
+  // Snapshot-building state, reused across snapshots under mu_. The history
+  // belongs to the newest root and restarts with each new root.
+  mutable Estimates est_;
+  mutable IdBuffers ids_;
+  mutable ConcurrencyHistory history_;
+  std::uint64_t history_gen_ = 1;
+  mutable std::vector<TimePoint> running_starts_;
 };
 
 }  // namespace askel

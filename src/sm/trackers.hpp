@@ -18,7 +18,8 @@ class SeqTracker final : public Tracker {
  public:
   using Tracker::Tracker;
   void on_event(const Event& ev, EstimateRegistry& reg) override;
-  std::vector<int> contribute(SnapshotCtx& c, std::vector<int> preds) const override;
+  void contribute(SnapshotCtx& c, std::span<const int> preds,
+                  std::vector<int>& out) const override;
 
  private:
   std::optional<MuscleRec> fe_;
@@ -28,19 +29,27 @@ class SeqTracker final : public Tracker {
 /// S (children) --@bm--> M --@am--> F.
 class MapLikeTracker : public Tracker {
  public:
-  using Tracker::Tracker;
+  MapLikeTracker(const SkelNode* node, std::int64_t exec_id,
+                 std::int64_t parent_exec_id);
   void on_event(const Event& ev, EstimateRegistry& reg) override;
-  std::vector<int> contribute(SnapshotCtx& c, std::vector<int> preds) const override;
+  void contribute(SnapshotCtx& c, std::span<const int> preds,
+                  std::vector<int>& out) const override;
 
  protected:
-  /// Static nodes of the children not yet started when the split yields
-  /// `card` elements, in element order.
-  virtual std::vector<const SkelNode*> pending_child_nodes(long card) const = 0;
-  const SplitMuscle* split_muscle() const;
-  const MergeMuscle* merge_muscle() const;
+  /// Set `out` to the static nodes of the children not yet started when the
+  /// split yields `card` elements, in element order.
+  virtual void pending_child_nodes(long card,
+                                   std::vector<const SkelNode*>& out) const = 0;
 
+  // The node's lists, read once (SkelNode returns them by value).
+  const std::vector<const SkelNode*> kids_;
+  const SplitMuscle* const fs_;
+  const MergeMuscle* const fm_;
   std::optional<MuscleRec> split_;
   std::optional<MuscleRec> merge_;
+
+ private:
+  mutable std::vector<const SkelNode*> pending_;  // contribute() scratch
 };
 
 class MapTracker final : public MapLikeTracker {
@@ -48,10 +57,10 @@ class MapTracker final : public MapLikeTracker {
   using MapLikeTracker::MapLikeTracker;
 
  protected:
-  std::vector<const SkelNode*> pending_child_nodes(long card) const override {
+  void pending_child_nodes(long card,
+                           std::vector<const SkelNode*>& out) const override {
     const long pending = std::max<long>(0, card - static_cast<long>(children_.size()));
-    return std::vector<const SkelNode*>(static_cast<std::size_t>(pending),
-                                        node_->children()[0]);
+    out.assign(static_cast<std::size_t>(pending), kids_[0]);
   }
 };
 
@@ -63,7 +72,11 @@ class ForkTracker final : public MapLikeTracker {
   /// Element i runs branch i mod |{∆}|, but elements may start in any order
   /// (a worker's LIFO deque runs the last one first), so the pending ones
   /// are matched against the started children branch by branch.
-  std::vector<const SkelNode*> pending_child_nodes(long card) const override;
+  void pending_child_nodes(long card,
+                           std::vector<const SkelNode*>& out) const override;
+
+ private:
+  mutable std::vector<long> started_;  // pending_child_nodes() scratch
 };
 
 /// pipe(∆1,∆2): stages run strictly in order.
@@ -71,7 +84,8 @@ class PipeTracker final : public Tracker {
  public:
   using Tracker::Tracker;
   void on_event(const Event& ev, EstimateRegistry& reg) override;
-  std::vector<int> contribute(SnapshotCtx& c, std::vector<int> preds) const override;
+  void contribute(SnapshotCtx& c, std::span<const int> preds,
+                  std::vector<int>& out) const override;
 };
 
 /// farm(∆): transparent wrapper around one child instance.
@@ -79,7 +93,8 @@ class FarmTracker final : public Tracker {
  public:
   using Tracker::Tracker;
   void on_event(const Event& ev, EstimateRegistry& reg) override;
-  std::vector<int> contribute(SnapshotCtx& c, std::vector<int> preds) const override;
+  void contribute(SnapshotCtx& c, std::span<const int> preds,
+                  std::vector<int>& out) const override;
 };
 
 /// if(fc,∆t,∆f): condition then the chosen branch.
@@ -87,7 +102,8 @@ class IfTracker final : public Tracker {
  public:
   using Tracker::Tracker;
   void on_event(const Event& ev, EstimateRegistry& reg) override;
-  std::vector<int> contribute(SnapshotCtx& c, std::vector<int> preds) const override;
+  void contribute(SnapshotCtx& c, std::span<const int> preds,
+                  std::vector<int>& out) const override;
 
  private:
   std::optional<MuscleRec> cond_;
@@ -98,7 +114,8 @@ class WhileTracker final : public Tracker {
  public:
   using Tracker::Tracker;
   void on_event(const Event& ev, EstimateRegistry& reg) override;
-  std::vector<int> contribute(SnapshotCtx& c, std::vector<int> preds) const override;
+  void contribute(SnapshotCtx& c, std::span<const int> preds,
+                  std::vector<int>& out) const override;
   long true_count() const { return true_count_; }
 
  private:
@@ -111,7 +128,8 @@ class ForTracker final : public Tracker {
  public:
   using Tracker::Tracker;
   void on_event(const Event& ev, EstimateRegistry& reg) override;
-  std::vector<int> contribute(SnapshotCtx& c, std::vector<int> preds) const override;
+  void contribute(SnapshotCtx& c, std::span<const int> preds,
+                  std::vector<int>& out) const override;
 };
 
 /// d&C(fc,fs,∆,fm): one tracker per recursion level; the root (level 0)
@@ -120,7 +138,8 @@ class DacTracker final : public Tracker {
  public:
   using Tracker::Tracker;
   void on_event(const Event& ev, EstimateRegistry& reg) override;
-  std::vector<int> contribute(SnapshotCtx& c, std::vector<int> preds) const override;
+  void contribute(SnapshotCtx& c, std::span<const int> preds,
+                  std::vector<int>& out) const override;
 
   void set_level(long level) { level_ = level; }
   long level() const { return level_; }

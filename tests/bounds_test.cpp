@@ -7,7 +7,6 @@
 
 #include "adg/bounds.hpp"
 #include "adg/limited_lp.hpp"
-#include "autonomic/decision.hpp"
 #include "workload/paper_example.hpp"
 
 namespace askel {
@@ -55,12 +54,12 @@ TEST(Bounds, ExactOnThePaperExample) {
   EXPECT_DOUBLE_EQ(graham_bound(g, 24), 100.0);
 }
 
-TEST(Bounds, EstimateWctDispatch) {
+TEST(Bounds, ListScheduleAndGrahamBoundAgreeOnIndependentTasks) {
   AdgSnapshot g;
   g.now = 0.0;
   for (int k = 0; k < 4; ++k) g.add(make_pending(0, "p", 1.0, {}));
-  EXPECT_DOUBLE_EQ(estimate_wct(g, 2, WctAlgorithm::kListSchedule), 2.0);
-  EXPECT_DOUBLE_EQ(estimate_wct(g, 2, WctAlgorithm::kGrahamBound), 2.0);
+  EXPECT_DOUBLE_EQ(limited_lp(g, 2).wct, 2.0);
+  EXPECT_DOUBLE_EQ(graham_bound(g, 2), 2.0);
 }
 
 class BoundsSandwich : public ::testing::TestWithParam<std::uint64_t> {};
@@ -90,18 +89,6 @@ TEST_P(BoundsSandwich, GrahamSandwichesGreedyListScheduling) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BoundsSandwich,
                          ::testing::Values(3, 7, 11, 19, 23, 42, 77, 101));
-
-TEST(Bounds, DecisionWithGrahamEstimatorStillMeetsSimpleCases) {
-  // 8 × 1s, goal 2s: W/p bound needs p=4, same as the list schedule.
-  AdgSnapshot g;
-  g.now = 0.0;
-  for (int k = 0; k < 8; ++k) g.add(make_pending(0, "p", 1.0, {}));
-  DecisionConfig cfg;
-  cfg.wct_algorithm = WctAlgorithm::kGrahamBound;
-  const Decision d = decide(g, 2.0, 1, 16, cfg);
-  EXPECT_EQ(d.new_lp, 4);
-  EXPECT_EQ(d.reason, DecisionReason::kIncreaseToGoal);
-}
 
 }  // namespace
 }  // namespace askel

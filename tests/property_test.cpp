@@ -1,14 +1,16 @@
 // Property-based tests: invariants of the schedulers over randomized DAGs
 // (seeded, deterministic), parameterized sweeps of the estimator family, and
-// the exactness of the controller's warming skip over random skeletons.
+// the exactness of the controller's warming skip and frontier snapshots over
+// random skeletons.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <cstring>
+#include <string>
 #include <map>
 #include <mutex>
-#include <optional>
 #include <random>
 #include <set>
 #include <stdexcept>
@@ -16,6 +18,7 @@
 #include "adg/best_effort.hpp"
 #include "adg/limited_lp.hpp"
 #include "adg/timeline.hpp"
+#include "autonomic/decision.hpp"
 #include "est/estimator.hpp"
 #include "est/ewma.hpp"
 #include "events/listener.hpp"
@@ -336,6 +339,10 @@ TEST(SchedulerOracle, ConcurrencyProfileMatchesTheMapBitForBit) {
     for (const Schedule& s : {best_effort(g), limited_lp(g, lp)}) {
       const std::vector<Sample> fast = concurrency_profile(s);
       const std::vector<Sample> ref = concurrency_profile_reference(s);
+      std::vector<TimePoint> starts;
+      std::vector<TimePoint> ends;
+      ASSERT_EQ(peak_concurrency(s, starts, ends), peak_concurrency(ref))
+          << "seed=" << seed;
       ASSERT_EQ(fast.size(), ref.size()) << "seed=" << seed;
       ASSERT_TRUE(fast.empty() || std::memcmp(fast.data(), ref.data(),
                                               fast.size() * sizeof(Sample)) == 0)
@@ -453,9 +460,10 @@ class RandomSkeleton {
   std::mt19937_64 rng_;
 };
 
-/// Every event of one run of `sk` at LP 1, in delivery order.
-std::vector<Event> record_run(const RandomSkeleton& sk, std::uint64_t input) {
-  ResizableThreadPool pool(1, 1);
+/// Every event of one run of `sk` at `lp` workers, in delivery order.
+std::vector<Event> record_run(const RandomSkeleton& sk, std::uint64_t input,
+                              int lp = 1) {
+  ResizableThreadPool pool(lp, lp);
   EventBus bus;
   std::mutex mu;
   std::vector<Event> events;
@@ -492,7 +500,10 @@ long check_warming_skip(const RandomSkeleton& sk, const std::vector<Event>& even
     ts.limits.max_activities = 4 + rng() % 29;
     ts.limits.max_depth = 1 + static_cast<int>(rng() % 4);
   }
-  std::optional<ResolutionStamp> warming;
+  // A plain flag and value rather than std::optional: GCC 12 at -O2 reports
+  // a maybe-uninitialized read inside optional's operator== here.
+  bool warming = false;
+  ResolutionStamp warming_stamp;
   long skips = 0;
   for (std::size_t i = 0; i < events.size(); ++i) {
     ts.on_event(events[i]);
@@ -500,7 +511,7 @@ long check_warming_skip(const RandomSkeleton& sk, const std::vector<Event>& even
     const ResolutionStamp stamp = ts.resolution_stamp();
     const AdgSnapshot g = ts.snapshot(events[i].timestamp);
     const bool incomplete = !g.activities.empty() && !g.complete_estimates;
-    if (warming == stamp) {
+    if (warming && warming_stamp == stamp) {
       ++skips;
       EXPECT_TRUE(incomplete)
           << "seed=" << seed << " scope=" << static_cast<int>(cfg.scope)
@@ -508,11 +519,8 @@ long check_warming_skip(const RandomSkeleton& sk, const std::vector<Event>& even
           << to_string(events[i].where) << "): stamp unchanged since an "
           << "incomplete snapshot, yet the fresh one is complete";
     }
-    if (incomplete && !g.truncated) {
-      warming = stamp;
-    } else {
-      warming.reset();
-    }
+    warming = incomplete && !g.truncated;
+    warming_stamp = stamp;
   }
   return skips;
 }
@@ -533,6 +541,177 @@ TEST(WarmingSkipOracle, UnchangedStampProvesTheSnapshotStillIncomplete) {
   }
   // The property must not hold vacuously.
   EXPECT_GT(skips, 10000);
+}
+
+// ------------------------------------------ frontier snapshot exactness --
+//
+// The controller plans on the frontier form of a snapshot: running and
+// pending activities only, done ones folded into `done_end` and
+// `past_peak`, settled subtrees replayed from a cache. The oracle replays
+// seeded random skeletons over all nine kinds into one TrackerSet and, at
+// every After event, checks that the full and the frontier form give
+// bit-identical schedules and decisions. Runs are recorded at LP 1 (a
+// deterministic stream) and at LP 4; timestamps are re-quantised to integer
+// ticks on most seeds so that ties and zero-length muscles abound. Some
+// seeds postpone muscle completions, so more muscles run at once than the
+// small LPs plan for; a few re-deliver earlier Before events out of order,
+// which replaces records a frontier snapshot already folded or attaches new
+// instances to finished ones, and some lose a nested instance's events.
+
+bool same_time(TimePoint a, TimePoint b) { return std::memcmp(&a, &b, sizeof a) == 0; }
+
+struct FrontierCounts {
+  long snapshots = 0;
+  long truncated = 0;
+  long crowded = 0;       // more running activities than the smallest LP
+  long lp1_crowded = 0;   // ... in streams recorded at LP 1 (deterministic)
+  long zero_length = 0;   // snapshots with a zero-length done activity
+  long past_peaks = 0;    // frontier past_peak above its own profile's peak
+};
+
+void check_frontier(const RandomSkeleton& sk, std::vector<Event> events, bool lp1,
+                    const OracleConfig& cfg, std::uint64_t seed,
+                    FrontierCounts& counts) {
+  std::mt19937_64 rng(mix64(seed) ^ 0xf00d);
+  if (seed % 4 != 0) {
+    // Integer ticks: 1-3 consecutive events share a time stamp.
+    const std::uint64_t per_tick = 1 + seed % 3;
+    for (std::size_t i = 0; i < events.size(); ++i) {
+      events[i].timestamp = static_cast<double>(i / per_tick);
+    }
+  }
+  if (seed % 5 == 0) {
+    // Postpone some muscle completions: several muscles run at once.
+    for (std::size_t i = events.size(); i-- > 0;) {
+      if (events[i].when != When::kAfter || events[i].where != Where::kExecute) {
+        continue;
+      }
+      const std::size_t to = std::min(events.size() - 1, i + 1 + rng() % 12);
+      std::rotate(events.begin() + static_cast<std::ptrdiff_t>(i),
+                  events.begin() + static_cast<std::ptrdiff_t>(i) + 1,
+                  events.begin() + static_cast<std::ptrdiff_t>(to) + 1);
+    }
+  }
+  if (seed % 11 == 0) {
+    // Lose every event of one nested instance: its parent finishes without it.
+    const Event& victim = events[rng() % events.size()];
+    if (victim.parent_exec_id >= 0) {
+      const std::int64_t id = victim.exec_id;
+      std::erase_if(events, [id](const Event& e) { return e.exec_id == id; });
+    }
+  }
+  if (seed % 7 == 0 && events.size() > 4) {
+    // Re-deliver a few earlier Before events later in the stream, the last
+    // ones as a new sibling instance (which may join a finished parent).
+    for (int k = 0; k < 6; ++k) {
+      const std::size_t from = rng() % events.size();
+      const std::size_t to = from + 1 + rng() % (events.size() - from);
+      if (events[from].when != When::kBefore) continue;
+      Event again = events[from];
+      again.timestamp = events[to - 1].timestamp;
+      if (k >= 3 && again.parent_exec_id >= 0) again.exec_id = 1000000 + k;
+      events.insert(events.begin() + static_cast<std::ptrdiff_t>(to), again);
+    }
+  }
+  EstimateRegistry reg(0.5, cfg.scope);
+  TrackerSet ts(reg);
+  if (cfg.partial) {
+    for (const Muscle* m : sk.muscles) {
+      if (rng() & 1) reg.init_duration(m->id(), static_cast<double>(rng() % 4));
+      if (m->kind() != MuscleKind::kExecute && m->kind() != MuscleKind::kMerge &&
+          (rng() & 1)) {
+        reg.init_cardinality(m->id(), static_cast<double>(rng() % 4));
+      }
+    }
+    ts.limits.max_activities = 4 + rng() % 29;
+    ts.limits.max_depth = 1 + static_cast<int>(rng() % 4);
+  }
+  AdgSnapshot front;
+  DecisionWorkspace ws;
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    ts.on_event(events[i]);
+    if (events[i].when != When::kAfter) continue;
+    const TimePoint now = events[i].timestamp + (seed % 2 == 0 ? 0.5 : 0.0);
+    const AdgSnapshot full = ts.snapshot(now);
+    ts.snapshot(now, SnapshotForm::kFrontier, front);
+    const std::string where = "seed=" + std::to_string(seed) +
+                              " scope=" + std::to_string(static_cast<int>(cfg.scope)) +
+                              " partial=" + std::to_string(cfg.partial) +
+                              " event " + std::to_string(i);
+    ++counts.snapshots;
+    counts.truncated += full.truncated;
+    counts.crowded += full.count(ActivityState::kRunning) > 1;
+    counts.lp1_crowded += lp1 && full.count(ActivityState::kRunning) > 1;
+    counts.zero_length += std::any_of(
+        full.activities.begin(), full.activities.end(), [](const Activity& a) {
+          return a.state == ActivityState::kDone && a.end == a.start;
+        });
+    ASSERT_EQ(front.count(ActivityState::kDone) - front.folded, 0u) << where;
+    ASSERT_EQ(full.size(), front.size()) << where;
+    ASSERT_EQ(full.count(ActivityState::kRunning), front.count(ActivityState::kRunning))
+        << where;
+    ASSERT_EQ(full.count(ActivityState::kPending), front.count(ActivityState::kPending))
+        << where;
+    ASSERT_TRUE(same_time(full.now, front.now)) << where;
+    ASSERT_EQ(full.complete_estimates, front.complete_estimates) << where;
+    ASSERT_EQ(full.truncated, front.truncated) << where;
+    ASSERT_EQ(front.validate(), "") << where;
+
+    const Schedule be_full = best_effort(full);
+    const Schedule be_front = best_effort(front);
+    ASSERT_TRUE(same_time(be_full.wct, be_front.wct)) << where;
+    for (int lp = 1; lp <= 8; ++lp) {
+      ASSERT_TRUE(same_time(limited_lp(full, lp).wct, limited_lp(front, lp).wct))
+          << where << " lp=" << lp;
+    }
+    const int peak = optimal_lp(full);
+    ASSERT_EQ(peak, optimal_lp(front)) << where;
+    std::vector<TimePoint> starts;
+    std::vector<TimePoint> ends;
+    counts.past_peaks += front.past_peak > peak_concurrency(be_front, starts, ends);
+
+    if (full.size() == 0) continue;
+    const TimePoint span = std::max(be_full.wct - full.now, 1.0);
+    for (const double f : {0.5, 1.0, 2.0, 4.0}) {
+      const TimePoint goal = full.now + f * span;
+      for (const int lp : {1, 2, 5}) {
+        const Decision a = decide(full, goal, lp, 8);
+        const Decision b = decide(front, goal, lp, 8, DecisionConfig{}, ws);
+        ASSERT_EQ(a.new_lp, b.new_lp) << where << " f=" << f << " lp=" << lp;
+        ASSERT_EQ(a.reason, b.reason) << where << " f=" << f << " lp=" << lp;
+        ASSERT_TRUE(same_time(a.best_effort_wct, b.best_effort_wct)) << where;
+        ASSERT_TRUE(same_time(a.current_lp_wct, b.current_lp_wct)) << where;
+        ASSERT_EQ(a.optimal_lp, b.optimal_lp) << where;
+      }
+    }
+  }
+}
+
+TEST(FrontierSnapshotOracle, FrontierFormDecidesBitForBitLikeTheFullForm) {
+  constexpr std::uint64_t kSkeletons = 1500;
+  FrontierCounts counts;
+  for (std::uint64_t seed = 1; seed <= kSkeletons; ++seed) {
+    const RandomSkeleton sk(seed, 1 + static_cast<int>(seed % 4));
+    const int lp = seed % 3 == 0 ? 4 : 1;
+    const std::vector<Event> events = record_run(sk, mix64(seed), lp);
+    for (const EstimationScope scope :
+         {EstimationScope::kAggregate, EstimationScope::kPerDepth}) {
+      for (const bool partial : {false, true}) {
+        check_frontier(sk, events, lp == 1, {scope, partial}, seed, counts);
+        if (::testing::Test::HasFailure()) return;
+      }
+    }
+  }
+  // The property must not hold vacuously.
+  EXPECT_GT(counts.snapshots, 50000);
+  EXPECT_GT(counts.truncated, 1000);
+  EXPECT_GT(counts.lp1_crowded, 100);
+  EXPECT_GT(counts.zero_length, 1000);
+  EXPECT_GT(counts.past_peaks, 100);
+  std::printf("frontier oracle: %ld snapshots, %ld truncated, %ld crowded "
+              "(%ld at LP 1), %ld zero-length, %ld decided by past_peak\n",
+              counts.snapshots, counts.truncated, counts.crowded,
+              counts.lp1_crowded, counts.zero_length, counts.past_peaks);
 }
 
 // -------------------------------------------------------- Ewma properties --

@@ -5,6 +5,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdlib>
+#include <new>
 #include <mutex>
 #include <numeric>
 
@@ -484,7 +486,7 @@ Event after_muscle(Where where = Where::kExecute) {
   return e;
 }
 
-TEST(ControllerSpacing, NextEvaluationWaitsTenTimesTheLastOnesCost) {
+TEST(ControllerSpacing, NextEvaluationWaitsFiftyTimesTheLastOnesCost) {
   PaperExampleReplay r;
   r.replay_until(70.0);  // estimates complete: every evaluation is actionable
   ManualClock pool_clock(70.0);
@@ -497,12 +499,12 @@ TEST(ControllerSpacing, NextEvaluationWaitsTenTimesTheLastOnesCost) {
   ASSERT_EQ(clock.reads(), 3);
   ASSERT_EQ(ctl.actions().size(), 1u);  // LP 2 -> 3: not warming any more
   // Event k after it reads 70+(3+k)s, i.e. (1+k)s after that evaluation
-  // started; min_interval is 0, so only the 10s duty-cycle floor holds it.
-  for (int k = 1; k <= 8; ++k) {
+  // started; min_interval is 0, so only the 50s duty-cycle floor holds it.
+  for (int k = 1; k <= 48; ++k) {
     ctl.on_event(after_muscle());
     EXPECT_EQ(ctl.evaluations(), 1) << "event " << k << " is inside the floor";
   }
-  ctl.on_event(after_muscle());  // k = 9: exactly 10s later
+  ctl.on_event(after_muscle());  // k = 49: exactly 50s later
   EXPECT_EQ(ctl.evaluations(), 2);
 }
 
@@ -642,6 +644,48 @@ TEST(ControllerWarming, NewRootRebuildsEvenWithoutNewEstimates) {
   EXPECT_NE(ctl.evaluate_now().reason, DecisionReason::kIncompleteEstimates);
 }
 
+/// operator new calls in this binary (the replacement is at the end of the
+/// file); the count is read around single-threaded evaluations.
+std::atomic<long> g_allocations{0};
+
+TEST(ControllerEvaluation, SteadyStateEvaluationDoesNotAllocate) {
+  // A warm 256-wide map half done: after the controller's first frontier
+  // snapshot has sized its buffers, re-evaluating the same state, or the
+  // state a few completions later, takes nothing from the heap.
+  constexpr int kWidth = 256;
+  ManualClock rec_clock(0.0);
+  const Skel<int, int> skel = flat_map(rec_clock);
+  const std::vector<Event> events = record_events(skel, kWidth, rec_clock);
+  EstimateRegistry reg(0.5);
+  TrackerSet warm(reg);
+  for (const Event& e : events) warm.on_event(e);
+
+  ManualClock clock(0.0);
+  ResizableThreadPool pool(1, 4, &clock);
+  TrackerSet ts(reg);
+  AutonomicController ctl(pool, ts, &clock, ControllerConfig{});
+  ASSERT_TRUE(ctl.arm(1.0, 4));
+  std::size_t next = 0;
+  auto ingest_until_completions = [&](int completions) {
+    for (; next < events.size() && completions > 0; ++next) {
+      clock.set(events[next].timestamp);
+      ts.on_event(events[next]);
+      completions -= events[next].when == When::kAfter &&
+                     events[next].where == Where::kExecute;
+    }
+  };
+  ingest_until_completions(kWidth / 2);
+  for (int k = 0; k < 3; ++k) ctl.evaluate_now();  // size the buffers
+  for (int step = 0; step < 4; ++step) {
+    const long before = g_allocations.load();
+    EXPECT_NE(ctl.evaluate_now().reason, DecisionReason::kIncompleteEstimates);
+    EXPECT_EQ(g_allocations.load() - before, 0) << "step " << step;
+    ingest_until_completions(2);
+    ctl.evaluate_now();  // absorbs the new records' growth
+  }
+  EXPECT_GT(ctl.adg_rebuilds(), 8);
+}
+
 TEST(TrackerSet, RetainsAboutOneRunOfInstancesOverManyRuns) {
   // A long-lived set serves an endless series of runs: the trackers of a
   // finished root are retired when the next root starts.
@@ -691,3 +735,14 @@ TEST(ControllerActions, LogKeepsOnlyTheMostRecentHistory) {
 
 }  // namespace
 }  // namespace askel
+
+// Counting replacements of the global allocation functions (this test binary
+// only); the aligned forms keep their defaults. Not inlined, so that GCC does
+// not pair an inlined free() with the new-expression that allocated.
+[[gnu::noinline]] void* operator new(std::size_t n) {
+  askel::g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept { std::free(p); }
