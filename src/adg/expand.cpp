@@ -251,35 +251,6 @@ void expand_dac_body(const DacNode& node, const Estimates& est, AdgSnapshot& g,
              est_depth);
 }
 
-std::vector<int> expand_expected(const SkelNode& node, const Estimates& est,
-                                 AdgSnapshot& g, const std::vector<int>& preds,
-                                 const ExpandLimits& lim, int est_depth) {
-  IdBuffers ids;
-  std::vector<int> out;
-  expand_expected(node, est, g, preds, out, ids, lim, est_depth);
-  return out;
-}
-
-std::vector<int> expand_expected_dac(const DacNode& node, const Estimates& est,
-                                     AdgSnapshot& g, const std::vector<int>& preds,
-                                     long level, const ExpandLimits& lim,
-                                     int est_depth) {
-  IdBuffers ids;
-  std::vector<int> out;
-  expand_expected_dac(node, est, g, preds, out, ids, level, lim, est_depth);
-  return out;
-}
-
-std::vector<int> expand_dac_body(const DacNode& node, const Estimates& est,
-                                 AdgSnapshot& g, const std::vector<int>& preds,
-                                 long level, bool divided, const ExpandLimits& lim,
-                                 int est_depth) {
-  IdBuffers ids;
-  std::vector<int> out;
-  expand_dac_body(node, est, g, preds, out, ids, level, divided, lim, est_depth);
-  return out;
-}
-
 int add_pending_muscle(AdgSnapshot& g, const Estimates& est, const Muscle& m,
                        std::span<const int> preds, int est_depth) {
   const auto t = est.t(m.id(), est_depth);

@@ -119,19 +119,6 @@ void expand_dac_body(const DacNode& node, const Estimates& est, AdgSnapshot& g,
                      IdBuffers& ids, long level, bool divided,
                      const ExpandLimits& lim, int est_depth);
 
-/// Convenience forms returning the terminal ids.
-std::vector<int> expand_expected(const SkelNode& node, const Estimates& est,
-                                 AdgSnapshot& g, const std::vector<int>& preds,
-                                 const ExpandLimits& lim = {}, int est_depth = 0);
-std::vector<int> expand_expected_dac(const DacNode& node, const Estimates& est,
-                                     AdgSnapshot& g, const std::vector<int>& preds,
-                                     long level, const ExpandLimits& lim = {},
-                                     int est_depth = 0);
-std::vector<int> expand_dac_body(const DacNode& node, const Estimates& est,
-                                 AdgSnapshot& g, const std::vector<int>& preds,
-                                 long level, bool divided,
-                                 const ExpandLimits& lim = {}, int est_depth = 0);
-
 /// Append one pending activity for `m` using t(m) from `est` (0 + incomplete
 /// flag when unknown). Returns the new activity id.
 int add_pending_muscle(AdgSnapshot& g, const Estimates& est, const Muscle& m,

@@ -11,10 +11,12 @@ namespace {
 /// Duty-cycle floor: an evaluation that cost c seconds is followed by at
 /// least kEvalSpacingFactor * c of quiet, so Analyze holds about 1/50 of one
 /// core however wide the ADG grows. Planning on the frontier snapshot made
-/// an evaluation about 5x cheaper; the factor rose from 10 by that ratio, so
-/// wide_map keeps its cadence (~35 evaluations per run) and banks the
-/// saving as CPU.
+/// an ADG evaluation several times cheaper; the factor rose from 10 to 50
+/// with it, so wide_map keeps its cadence and banks the saving as CPU.
 constexpr double kEvalSpacingFactor = 50.0;
+/// SLO-mode evaluations (decide_slo over a tail snapshot, no ADG) did not get
+/// cheaper, so they keep the old factor.
+constexpr double kSloEvalSpacingFactor = 10.0;
 
 }  // namespace
 
@@ -210,8 +212,9 @@ bool AutonomicController::evaluation_due_locked(TimePoint now) const {
   const bool warming = last_reason_ == DecisionReason::kIncompleteEstimates ||
                        last_reason_ == DecisionReason::kEmptySnapshot;
   if (warming || last_eval_ < 0.0) return true;
-  const Duration spacing =
-      std::max(cfg_.min_interval, kEvalSpacingFactor * last_eval_cost_);
+  const double factor = goals_.kind == GoalKind::kTailLatency ? kSloEvalSpacingFactor
+                                                              : kEvalSpacingFactor;
+  const Duration spacing = std::max(cfg_.min_interval, factor * last_eval_cost_);
   return now - last_eval_ >= spacing;
 }
 

@@ -7,15 +7,15 @@
 //            past folded, see adg/snapshot.hpp) and estimates best-effort /
 //            limited-LP completion times, reusing its snapshot and decide()
 //            workspace (a steady-state evaluation of a flat map allocates
-//            nothing). It
-//            evaluates on every such event unless min_interval or the
-//            duty-cycle floor spaces evaluations out: after an evaluation
-//            that cost c, the next waits at least 50c, so Analyze holds
-//            about 2% of one core however wide the ADG grows. While
-//            estimates are still warming up, the snapshot is rebuilt only
-//            when the TrackerSet's resolution stamp moved since the last
-//            incomplete one — otherwise the outcome is known to be
-//            kIncompleteEstimates again;
+//            nothing). It evaluates on every such event unless min_interval
+//            or the duty-cycle floor spaces evaluations out: after an
+//            evaluation that cost c, the next waits at least 50c (10c in SLO
+//            mode, whose evaluations read no ADG), so Analyze holds about 2%
+//            of one core however wide the ADG grows. While estimates are
+//            still warming up, the snapshot is rebuilt only when the
+//            TrackerSet's resolution stamp moved since the last incomplete
+//            one — otherwise the outcome is known to be kIncompleteEstimates
+//            again;
 // Plan     — decision.cpp picks the LP;
 // Execute  — ResizableThreadPool::set_target_lp applies it immediately.
 //
@@ -61,8 +61,8 @@ struct ControllerConfig {
   /// Minimum wall-clock spacing between evaluations (0 = evaluate on every
   /// qualifying event; matches the paper's per-event reactivity). The
   /// controller also enforces a duty-cycle floor of 50x the last
-  /// evaluation's measured cost, so on wide ADGs the MAPE loop holds a
-  /// bounded share of one core whatever this is set to.
+  /// evaluation's measured cost (10x in SLO mode), so on wide ADGs the MAPE
+  /// loop holds a bounded share of one core whatever this is set to.
   Duration min_interval = 0.0;
 };
 

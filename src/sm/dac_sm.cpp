@@ -58,7 +58,10 @@ long DacTracker::divide_depth() const {
 
 void DacTracker::contribute(SnapshotCtx& c, std::span<const int> preds,
                             std::vector<int>& out) const {
-  if (!cond_) return expand_dac(c, preds, out, level_, depth_);
+  if (!cond_) {
+    return expand_expected_dac(dac(), c.est, c.g, preds, out, c.ids, level_, c.limits,
+                               depth_);
+  }
   const int cond_id = add_record(c, *cond_, preds);
 
   if (!cond_->done()) {
@@ -67,23 +70,28 @@ void DacTracker::contribute(SnapshotCtx& c, std::span<const int> preds,
     const long rec_depth =
         rounded_cardinality(c.est, dac().fc().id(), 0, &known, depth_);
     if (!known) c.g.complete_estimates = false;
-    return expand_dac_body(c, one(cond_id), out, level_, level_ < rec_depth);
+    return expand_dac_body(dac(), c.est, c.g, one(cond_id), out, c.ids, level_,
+                           level_ < rec_depth, c.limits, depth_);
   }
 
   if (!divided()) {
     // Leaf: the nested ∆ handles this element.
-    if (!children_.empty()) return children_[0]->emit(c, one(cond_id), out);
-    return expand(c, *node_->children()[0], one(cond_id), out, depth_ + 1);
+    if (!children_.empty()) return children_[0]->contribute(c, one(cond_id), out);
+    return expand_expected(*node_->children()[0], c.est, c.g, one(cond_id), out, c.ids,
+                           c.limits, depth_ + 1);
   }
 
   if (!split_) {
     // Divide decided but split not yet started (sub-microsecond window).
-    return expand_dac_body(c, one(cond_id), out, level_, true);
+    return expand_dac_body(dac(), c.est, c.g, one(cond_id), out, c.ids, level_, true,
+                           c.limits, depth_);
   }
   const int split_id = add_record(c, *split_, one(cond_id));
 
   const IdBuffers::Lease merge_preds = c.ids.take();
-  for (const TrackerPtr& child : children_) child->emit(c, one(split_id), *merge_preds);
+  for (const TrackerPtr& child : children_) {
+    child->contribute(c, one(split_id), *merge_preds);
+  }
   long card;
   if (split_->done()) {
     card = split_->cardinality;
@@ -95,11 +103,13 @@ void DacTracker::contribute(SnapshotCtx& c, std::span<const int> preds,
   }
   const long pending = std::max<long>(0, card - static_cast<long>(children_.size()));
   for (long k = 0; k < pending; ++k) {
-    expand_dac(c, one(split_id), *merge_preds, level_ + 1, depth_ + 1);
+    expand_expected_dac(dac(), c.est, c.g, one(split_id), *merge_preds, c.ids,
+                        level_ + 1, c.limits, depth_ + 1);
   }
   if (merge_preds->empty()) merge_preds->push_back(split_id);
   out.push_back(merge_ ? add_record(c, *merge_, *merge_preds)
-                       : add_pending(c, dac().fm(), *merge_preds, depth_));
+                       : add_pending_muscle(c.g, c.est, dac().fm(), *merge_preds,
+                                            depth_));
 }
 
 }  // namespace askel

@@ -37,14 +37,18 @@ void WhileTracker::on_event(const Event& ev, EstimateRegistry& reg) {
 
 void WhileTracker::contribute(SnapshotCtx& c, std::span<const int> preds,
                               std::vector<int>& out) const {
-  if (conds_.empty()) return expand(c, *node_, preds, out, depth_);
+  if (conds_.empty()) {
+    return expand_expected(*node_, c.est, c.g, preds, out, c.ids, c.limits, depth_);
+  }
   const SkelNode& body = *node_->children()[0];
   const ConditionMuscle& fc = *static_cast<const ConditionMuscle*>(node_->muscles()[0]);
   auto body_step = [&](std::span<const int> in, std::vector<int>& into) {
-    expand(c, body, in, into, depth_ + 1);
+    expand_expected(body, c.est, c.g, in, into, c.ids, c.limits, depth_ + 1);
   };
   IdChain cur(c.ids, preds);
-  auto cond_step = [&] { cur.set(add_pending(c, fc, cur.ids(), depth_)); };
+  auto cond_step = [&] {
+    cur.set(add_pending_muscle(c.g, c.est, fc, cur.ids(), depth_));
+  };
 
   std::size_t child_cursor = 0;
   bool cond_running = false;
@@ -58,7 +62,7 @@ void WhileTracker::contribute(SnapshotCtx& c, std::span<const int> preds,
       if (child_cursor < children_.size()) {
         const Tracker& child = *children_[child_cursor++];
         cur.then([&](std::span<const int> in, std::vector<int>& into) {
-          child.emit(c, in, into);
+          child.contribute(c, in, into);
         });
       } else {
         // Body queued but its first event has not arrived yet.
@@ -112,14 +116,14 @@ void ForTracker::contribute(SnapshotCtx& c, std::span<const int> preds,
   IdChain cur(c.ids, preds);
   for (const TrackerPtr& child : children_) {
     cur.then([&](std::span<const int> in, std::vector<int>& into) {
-      child->emit(c, in, into);
+      child->contribute(c, in, into);
     });
   }
   const long remaining =
       std::max<long>(0, n.iterations() - static_cast<long>(children_.size()));
   for (long k = 0; k < remaining; ++k) {
     cur.then([&](std::span<const int> in, std::vector<int>& into) {
-      expand(c, body, in, into, depth_ + 1);
+      expand_expected(body, c.est, c.g, in, into, c.ids, c.limits, depth_ + 1);
     });
   }
   out.insert(out.end(), cur.ids().begin(), cur.ids().end());

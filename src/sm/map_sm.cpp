@@ -46,12 +46,14 @@ void MapLikeTracker::contribute(SnapshotCtx& c, std::span<const int> preds,
                                 std::vector<int>& out) const {
   if (!split_) {
     // Not even the split has started: the whole instance is expected-only.
-    return expand(c, *node_, preds, out, depth_);
+    return expand_expected(*node_, c.est, c.g, preds, out, c.ids, c.limits, depth_);
   }
   const int split_id = add_record(c, *split_, preds);
 
   const IdBuffers::Lease merge_preds = c.ids.take();
-  for (const TrackerPtr& child : children_) child->emit(c, one(split_id), *merge_preds);
+  for (const TrackerPtr& child : children_) {
+    child->contribute(c, one(split_id), *merge_preds);
+  }
 
   long card;
   if (split_->done()) {
@@ -64,12 +66,13 @@ void MapLikeTracker::contribute(SnapshotCtx& c, std::span<const int> preds,
   }
   pending_child_nodes(card, pending_);
   for (const SkelNode* pending : pending_) {
-    expand(c, *pending, one(split_id), *merge_preds, depth_ + 1);
+    expand_expected(*pending, c.est, c.g, one(split_id), *merge_preds, c.ids, c.limits,
+                    depth_ + 1);
   }
   // The merge waits on the split alone when no branch left a terminal.
   if (merge_preds->empty()) merge_preds->push_back(split_id);
   out.push_back(merge_ ? add_record(c, *merge_, *merge_preds)
-                       : add_pending(c, *fm_, *merge_preds, depth_));
+                       : add_pending_muscle(c.g, c.est, *fm_, *merge_preds, depth_));
 }
 
 void ForkTracker::pending_child_nodes(long card,

@@ -10,8 +10,9 @@ void FarmTracker::on_event(const Event& ev, EstimateRegistry&) {
 
 void FarmTracker::contribute(SnapshotCtx& c, std::span<const int> preds,
                              std::vector<int>& out) const {
-  if (!children_.empty()) return children_[0]->emit(c, preds, out);
-  expand(c, *node_->children()[0], preds, out, depth_ + 1);
+  if (!children_.empty()) return children_[0]->contribute(c, preds, out);
+  expand_expected(*node_->children()[0], c.est, c.g, preds, out, c.ids, c.limits,
+                  depth_ + 1);
 }
 
 // --------------------------------------------------------------------- if --
@@ -35,14 +36,16 @@ void IfTracker::on_event(const Event& ev, EstimateRegistry& reg) {
 
 void IfTracker::contribute(SnapshotCtx& c, std::span<const int> preds,
                            std::vector<int>& out) const {
-  if (!cond_) return expand(c, *node_, preds, out, depth_);
+  if (!cond_) {
+    return expand_expected(*node_, c.est, c.g, preds, out, c.ids, c.limits, depth_);
+  }
   const int cond = add_record(c, *cond_, preds);
-  if (!children_.empty()) return children_[0]->emit(c, one(cond), out);
+  if (!children_.empty()) return children_[0]->contribute(c, one(cond), out);
   const auto& n = static_cast<const IfNode&>(*node_);
   const SkelNode* branch = cond_->done()
                                ? (cond_->cond_result ? n.true_branch() : n.false_branch())
                                : n.true_branch();
-  expand(c, *branch, one(cond), out, depth_ + 1);
+  expand_expected(*branch, c.est, c.g, one(cond), out, c.ids, c.limits, depth_ + 1);
 }
 
 }  // namespace askel

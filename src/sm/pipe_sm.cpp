@@ -16,8 +16,8 @@ void PipeTracker::contribute(SnapshotCtx& c, std::span<const int> preds,
   const std::size_t steps = std::max(children_.size(), stages.size());
   for (std::size_t k = 0; k < steps; ++k) {
     cur.then([&](std::span<const int> in, std::vector<int>& into) {
-      if (k < children_.size()) return children_[k]->emit(c, in, into);
-      expand(c, *stages[k], in, into, depth_ + 1);
+      if (k < children_.size()) return children_[k]->contribute(c, in, into);
+      expand_expected(*stages[k], c.est, c.g, in, into, c.ids, c.limits, depth_ + 1);
     });
   }
   out.insert(out.end(), cur.ids().begin(), cur.ids().end());

@@ -18,7 +18,9 @@ void SeqTracker::on_event(const Event& ev, EstimateRegistry& reg) {
 
 void SeqTracker::contribute(SnapshotCtx& c, std::span<const int> preds,
                             std::vector<int>& out) const {
-  if (!fe_) return expand(c, *node_, preds, out, depth_);
+  if (!fe_) {
+    return expand_expected(*node_, c.est, c.g, preds, out, c.ids, c.limits, depth_);
+  }
   out.push_back(add_record(c, *fe_, preds));
 }
 

@@ -44,7 +44,7 @@ struct MuscleRec {
 class Tracker;
 using TrackerPtr = std::shared_ptr<Tracker>;
 
-/// Context handed to Tracker::emit when building a snapshot.
+/// Context handed to Tracker::contribute when building a snapshot.
 struct SnapshotCtx {
   AdgSnapshot& g;
   const Estimates& est;
@@ -54,8 +54,6 @@ struct SnapshotCtx {
   /// record once (null in the full form), and its current generation.
   ConcurrencyHistory* history = nullptr;
   std::uint64_t history_gen = 0;
-  /// Expansion calls so far (frontier bookkeeping).
-  long expansions = 0;
 };
 
 class Tracker {
@@ -78,29 +76,21 @@ class Tracker {
   virtual void on_event(const Event& ev, EstimateRegistry& reg) = 0;
 
   /// A nested instance sent its first event; attach it in arrival order
-  /// (sets its parent and depth).
+  /// (sets its depth).
   void attach_child(TrackerPtr child);
 
   /// Emit this instance's activities. `preds` are the snapshot ids the
   /// instance waits on; appends to `out` the terminal activity ids its result
   /// depends on. In the frontier form, done records fold away (kFolded in
-  /// the id lists) and a settled subtree (nothing left to run, nothing
-  /// expanded) is not walked again: what it folds is replayed from a cache.
-  void emit(SnapshotCtx& c, std::span<const int> preds, std::vector<int>& out) const;
-
-  /// This instance (or a descendant) may have changed: drop the settled
-  /// cache here and on every settled ancestor.
-  void unsettle();
+  /// the id lists).
+  virtual void contribute(SnapshotCtx& c, std::span<const int> preds,
+                          std::vector<int>& out) const = 0;
 
   /// True once (then false) after an event replaced a record that a
   /// frontier snapshot had already added to the concurrency history.
   bool take_replaced_history() { return std::exchange(replaced_history_, false); }
 
  protected:
-  /// The kind-specific part of emit().
-  virtual void contribute(SnapshotCtx& c, std::span<const int> preds,
-                          std::vector<int>& out) const = 0;
-
   void mark_finished() { finished_ = true; }
 
   /// Emit one activity for a muscle record (done or running) and return its
@@ -108,17 +98,6 @@ class Tracker {
   /// depth. In the frontier form a done record folds away: kFolded.
   int add_record(SnapshotCtx& c, const MuscleRec& rec,
                  std::span<const int> preds) const;
-
-  /// Expected expansion of `node` at estimation depth `est_depth`, and one
-  /// pending muscle (the trackers' views of adg/expand.hpp).
-  void expand(SnapshotCtx& c, const SkelNode& node, std::span<const int> preds,
-              std::vector<int>& out, int est_depth) const;
-  void expand_dac(SnapshotCtx& c, std::span<const int> preds, std::vector<int>& out,
-                  long level, int est_depth) const;
-  void expand_dac_body(SnapshotCtx& c, std::span<const int> preds,
-                       std::vector<int>& out, long level, bool divided) const;
-  int add_pending(SnapshotCtx& c, const Muscle& m, std::span<const int> preds,
-                  int est_depth) const;
 
   /// Fold a closed record's duration into the registry at this depth.
   void observe_duration_of(EstimateRegistry& reg, const MuscleRec& rec) const;
@@ -139,15 +118,7 @@ class Tracker {
   std::vector<TrackerPtr> children_;
 
  private:
-  Tracker* parent_ = nullptr;
   bool replaced_history_ = false;
-  // Frontier cache, written by emit() under the TrackerSet lock: valid while
-  // settled_gen_ equals the history generation.
-  mutable std::uint64_t settled_gen_ = 0;
-  mutable std::size_t settled_preds_ = 0;      // preds it settled with
-  mutable std::size_t settled_terminals_ = 0;  // kFolded terminals it emits
-  mutable std::size_t settled_folded_ = 0;
-  mutable TimePoint settled_done_end_ = kNoTime;
 };
 
 /// Create the tracker matching `node->kind()`.

@@ -13,64 +13,8 @@ Tracker::Tracker(const SkelNode* node, std::int64_t exec_id,
     : node_(node), exec_id_(exec_id), parent_exec_id_(parent_exec_id) {}
 
 void Tracker::attach_child(TrackerPtr child) {
-  child->parent_ = this;
   child->depth_ = depth_ + 1;
   children_.push_back(std::move(child));
-}
-
-void Tracker::unsettle() {
-  // A tracker is settled only while its whole subtree is, so the walk stops
-  // at the first tracker without a cache to drop.
-  for (Tracker* t = this; t != nullptr && t->settled_gen_ != 0; t = t->parent_) {
-    t->settled_gen_ = 0;
-  }
-}
-
-namespace {
-
-bool all_folded(std::span<const int> ids) {
-  return std::all_of(ids.begin(), ids.end(), [](int id) { return id == kFolded; });
-}
-
-}  // namespace
-
-void Tracker::emit(SnapshotCtx& c, std::span<const int> preds,
-                   std::vector<int>& out) const {
-  if (c.history == nullptr) {
-    contribute(c, preds, out);
-    return;
-  }
-  if (settled_gen_ == c.history_gen && preds.size() == settled_preds_ &&
-      all_folded(preds)) {
-    c.g.folded += settled_folded_;
-    c.g.done_end = std::max(c.g.done_end, settled_done_end_);
-    out.insert(out.end(), settled_terminals_, kFolded);
-    return;
-  }
-  const std::size_t activities = c.g.activities.size();
-  const std::size_t folded = c.g.folded;
-  const std::size_t terminals = out.size();
-  const long expansions = c.expansions;
-  const TimePoint done_end = c.g.done_end;
-  c.g.done_end = kNoTime;
-  contribute(c, preds, out);
-  const TimePoint subtree_end = c.g.done_end;
-  c.g.done_end = std::max(done_end, subtree_end);
-  // Settled: given all-folded preds, the walk only folded done records — no
-  // activity added (so no terminal id or flag changed) and nothing expanded
-  // (whose size guard depends on where in the snapshot it runs). Until an
-  // event reaches the subtree, a new walk with as many preds would do the
-  // same. Every child it walked settled too, which unsettle() relies on.
-  if (all_folded(preds) && c.g.activities.size() == activities &&
-      c.expansions == expansions) {
-    settled_gen_ = c.history_gen;
-    settled_preds_ = preds.size();
-    settled_terminals_ = out.size() - terminals;
-    settled_folded_ = c.g.folded - folded;
-    settled_done_end_ = subtree_end;
-  } else {
-    settled_gen_ = 0;
-  }
 }
 
 int Tracker::add_record(SnapshotCtx& c, const MuscleRec& rec,
@@ -90,32 +34,6 @@ int Tracker::add_record(SnapshotCtx& c, const MuscleRec& rec,
   Activity a = make_running(rec.muscle_id, rec.label, rec.start, t.value_or(0.0), {});
   a.has_estimate = t.has_value();
   return c.g.add(std::move(a), preds);
-}
-
-void Tracker::expand(SnapshotCtx& c, const SkelNode& node, std::span<const int> preds,
-                     std::vector<int>& out, int est_depth) const {
-  ++c.expansions;
-  expand_expected(node, c.est, c.g, preds, out, c.ids, c.limits, est_depth);
-}
-
-void Tracker::expand_dac(SnapshotCtx& c, std::span<const int> preds,
-                         std::vector<int>& out, long level, int est_depth) const {
-  ++c.expansions;
-  expand_expected_dac(static_cast<const DacNode&>(*node_), c.est, c.g, preds, out,
-                      c.ids, level, c.limits, est_depth);
-}
-
-void Tracker::expand_dac_body(SnapshotCtx& c, std::span<const int> preds,
-                              std::vector<int>& out, long level, bool divided) const {
-  ++c.expansions;
-  askel::expand_dac_body(static_cast<const DacNode&>(*node_), c.est, c.g, preds, out,
-                         c.ids, level, divided, c.limits, depth_);
-}
-
-int Tracker::add_pending(SnapshotCtx& c, const Muscle& m, std::span<const int> preds,
-                         int est_depth) const {
-  ++c.expansions;
-  return add_pending_muscle(c.g, c.est, m, preds, est_depth);
 }
 
 void Tracker::observe_duration_of(EstimateRegistry& reg, const MuscleRec& rec) const {
@@ -168,6 +86,23 @@ TrackerPtr make_tracker(const SkelNode* node, const Event& ev) {
 
 // ------------------------------------------------------------- TrackerSet --
 
+namespace {
+
+// An event stamped after the caller read `now` may already be ingested (it
+// raced the caller to the lock); observing it means that moment has passed.
+// Collects the running activities' starts into `running_starts` if given.
+void raise_now(AdgSnapshot& g, std::vector<TimePoint>* running_starts) {
+  g.now = std::max(g.now, g.done_end);
+  if (running_starts != nullptr) running_starts->clear();
+  for (const Activity& a : g.activities) {
+    if (a.state != ActivityState::kRunning) continue;
+    g.now = std::max(g.now, a.start);
+    if (running_starts != nullptr) running_starts->push_back(a.start);
+  }
+}
+
+}  // namespace
+
 TrackerSet::TrackerSet(EstimateRegistry& reg) : reg_(reg) {}
 
 void TrackerSet::on_event(const Event& ev) {
@@ -182,7 +117,6 @@ void TrackerSet::on_event(const Event& ev) {
     by_exec_.emplace(ev.exec_id, t);
     const auto pit = by_exec_.find(ev.parent_exec_id);
     if (pit != by_exec_.end()) {
-      pit->second->unsettle();
       pit->second->attach_child(t);
       // Recursion-level bookkeeping for d&C: a DaC child of a DaC instance of
       // the same static node sits one level deeper.
@@ -199,7 +133,6 @@ void TrackerSet::on_event(const Event& ev) {
     }
   }
   const bool was_finished = t->finished();
-  t->unsettle();
   t->on_event(ev, reg_);
   if (t->take_replaced_history()) restart_history_locked();
   bool resolved = ev.when == When::kAfter &&
@@ -241,25 +174,26 @@ AdgSnapshot TrackerSet::snapshot(TimePoint now) const {
 void TrackerSet::snapshot(TimePoint now, SnapshotForm form, AdgSnapshot& g) const {
   g.clear();
   g.now = now;
-  std::lock_guard lock(mu_);
-  if (roots_.empty()) return;
-  reg_.snapshot_into(est_);
   const bool frontier = form == SnapshotForm::kFrontier;
-  SnapshotCtx c{g, est_, limits, ids_, frontier ? &history_ : nullptr, history_gen_};
   {
-    const IdBuffers::Lease terminals = ids_.take();
-    roots_.back()->emit(c, {}, *terminals);
+    std::lock_guard lock(mu_);
+    if (roots_.empty()) return;
+    reg_.snapshot_into(est_);
+    SnapshotCtx c{g, est_, limits, ids_, frontier ? &history_ : nullptr, history_gen_};
+    {
+      const IdBuffers::Lease terminals = ids_.take();
+      roots_.back()->contribute(c, {}, *terminals);
+    }
+    if (frontier) {
+      // The past peak reads the shared history, so it stays under the lock;
+      // the pass is over the frontier only.
+      raise_now(g, &running_starts_);
+      g.past_peak = history_.peak_before(g.now, running_starts_);
+      return;
+    }
   }
-  // An event stamped after the caller read `now` may already be ingested
-  // (it raced the caller to mu_); observing it means that moment has passed.
-  g.now = std::max(g.now, g.done_end);
-  running_starts_.clear();
-  for (const Activity& a : g.activities) {
-    if (a.state != ActivityState::kRunning) continue;
-    g.now = std::max(g.now, a.start);
-    running_starts_.push_back(a.start);
-  }
-  if (frontier) g.past_peak = history_.peak_before(g.now, running_starts_);
+  // Reads only the local `g`, so it runs outside the lock.
+  raise_now(g, nullptr);
 }
 
 TrackerPtr TrackerSet::current_root() const {

@@ -46,10 +46,9 @@ class TrackerSet {
   /// has been observed.
   AdgSnapshot snapshot(TimePoint now) const;
   /// Same, in the requested form, into `out` (whose storage is reused). The
-  /// frontier form walks the same trackers but folds done records away and
-  /// skips subtrees that have settled since an earlier frontier snapshot, so
-  /// its cost follows the running and pending activities; it carries the
-  /// done past as `done_end` and `past_peak` (see adg/snapshot.hpp).
+  /// frontier form walks the same trackers but folds done records away, so
+  /// what it hands on follows the running and pending activities; it carries
+  /// the done past as `done_end` and `past_peak` (see adg/snapshot.hpp).
   void snapshot(TimePoint now, SnapshotForm form, AdgSnapshot& out) const;
 
   /// Root tracker of the most recently started execution (null if none).
@@ -77,8 +76,8 @@ class TrackerSet {
   /// Drop the trackers of every finished root (caller holds mu_).
   void retire_finished_roots_locked();
   void bump_epoch_locked() { epoch_.fetch_add(1, std::memory_order_release); }
-  /// Start a new concurrency history: every record and settled cache of the
-  /// old generation is forgotten at once (caller holds mu_).
+  /// Start a new concurrency history: every record of the old generation is
+  /// forgotten at once (caller holds mu_).
   void restart_history_locked();
 
   mutable std::mutex mu_;

@@ -27,10 +27,19 @@ Estimates full_estimates(const Muscles& m, double card = 3.0) {
   return est;
 }
 
+/// expand_expected from no preds at the root depth; returns the terminals.
+std::vector<int> expand_terminals(const SkelNode& node, const Estimates& est,
+                                  AdgSnapshot& g, const ExpandLimits& lim = {}) {
+  IdBuffers ids;
+  std::vector<int> out;
+  expand_expected(node, est, g, {}, out, ids, lim, /*est_depth=*/0);
+  return out;
+}
+
 TEST(Expand, SeqIsOneActivity) {
   Muscles m;
   AdgSnapshot g;
-  const auto terminals = expand_expected(*Seq(m.fe).node(), full_estimates(m), g, {});
+  const auto terminals = expand_terminals(*Seq(m.fe).node(), full_estimates(m), g);
   ASSERT_EQ(terminals.size(), 1u);
   EXPECT_EQ(g.size(), 1u);
   EXPECT_DOUBLE_EQ(g.activities[0].est_duration, 15.0);
@@ -40,7 +49,7 @@ TEST(Expand, SeqIsOneActivity) {
 TEST(Expand, SeqWithoutEstimateFlagsIncomplete) {
   Muscles m;
   AdgSnapshot g;
-  expand_expected(*Seq(m.fe).node(), Estimates{}, g, {});
+  expand_terminals(*Seq(m.fe).node(), Estimates{}, g);
   EXPECT_FALSE(g.complete_estimates);
   EXPECT_DOUBLE_EQ(g.activities[0].est_duration, 0.0);
 }
@@ -49,7 +58,7 @@ TEST(Expand, MapUsesCardinalityEstimate) {
   Muscles m;
   AdgSnapshot g;
   const auto terminals =
-      expand_expected(*Map(m.fs, Seq(m.fe), m.fm).node(), full_estimates(m, 3.0), g, {});
+      expand_terminals(*Map(m.fs, Seq(m.fe), m.fm).node(), full_estimates(m, 3.0), g);
   // split + 3 fe + merge
   EXPECT_EQ(g.size(), 5u);
   ASSERT_EQ(terminals.size(), 1u);
@@ -66,7 +75,7 @@ TEST(Expand, NestedMapsMatchPaperStructure) {
   Muscles m;
   AdgSnapshot g;
   auto skel = Map(m.fs, Map(m.fs, Seq(m.fe), m.fm), m.fm);
-  expand_expected(*skel.node(), full_estimates(m, 3.0), g, {});
+  expand_terminals(*skel.node(), full_estimates(m, 3.0), g);
   // outer split + 3×(split + 3 fe + merge) + outer merge = 1 + 15 + 1.
   EXPECT_EQ(g.size(), 17u);
   // Best-effort from scratch: 10 + 10 + 15 + 5 + 5 = 45.
@@ -78,7 +87,7 @@ TEST(Expand, MapWithoutCardinalityFallsBackToOneAndFlags) {
   Estimates est = full_estimates(m);
   est.set(m.fs.m->id(), {10.0, std::nullopt});  // no |fs|
   AdgSnapshot g;
-  expand_expected(*Map(m.fs, Seq(m.fe), m.fm).node(), est, g, {});
+  expand_terminals(*Map(m.fs, Seq(m.fe), m.fm).node(), est, g);
   EXPECT_EQ(g.size(), 3u);  // split + 1 fe + merge
   EXPECT_FALSE(g.complete_estimates);
 }
@@ -87,7 +96,7 @@ TEST(Expand, PipeChainsStages) {
   Muscles m;
   AdgSnapshot g;
   auto skel = Pipe(Seq(m.fe), Seq(m.fe));
-  const auto terminals = expand_expected(*skel.node(), full_estimates(m), g, {});
+  const auto terminals = expand_terminals(*skel.node(), full_estimates(m), g);
   EXPECT_EQ(g.size(), 2u);
   EXPECT_EQ(g.activities[1].preds, std::vector<int>{0});
   EXPECT_EQ(terminals, std::vector<int>{1});
@@ -96,7 +105,7 @@ TEST(Expand, PipeChainsStages) {
 TEST(Expand, FarmIsTransparent) {
   Muscles m;
   AdgSnapshot g;
-  expand_expected(*Farm(Seq(m.fe)).node(), full_estimates(m), g, {});
+  expand_terminals(*Farm(Seq(m.fe)).node(), full_estimates(m), g);
   EXPECT_EQ(g.size(), 1u);
 }
 
@@ -104,7 +113,7 @@ TEST(Expand, WhileUsesConditionCardinality) {
   Muscles m;
   AdgSnapshot g;
   auto skel = While(m.fc, Seq(m.fe));
-  expand_expected(*skel.node(), full_estimates(m), g, {});  // |fc| = 2
+  expand_terminals(*skel.node(), full_estimates(m), g);  // |fc| = 2
   // cond, body, cond, body, final cond = 5 activities.
   EXPECT_EQ(g.size(), 5u);
   // Chain: total best effort = 1 + 15 + 1 + 15 + 1 = 33.
@@ -114,7 +123,7 @@ TEST(Expand, WhileUsesConditionCardinality) {
 TEST(Expand, ForChainsNBodies) {
   Muscles m;
   AdgSnapshot g;
-  expand_expected(*For(4, Seq(m.fe)).node(), full_estimates(m), g, {});
+  expand_terminals(*For(4, Seq(m.fe)).node(), full_estimates(m), g);
   EXPECT_EQ(g.size(), 4u);
   EXPECT_DOUBLE_EQ(best_effort(g).wct, 60.0);
 }
@@ -124,7 +133,7 @@ TEST(Expand, IfExpandsConditionPlusTrueBranch) {
   auto heavy = Seq(m.fe);
   auto light = Seq(execute_muscle<int, int>("other", [](int x) { return x; }));
   AdgSnapshot g;
-  expand_expected(*If(m.fc, heavy, light).node(), full_estimates(m), g, {});
+  expand_terminals(*If(m.fc, heavy, light).node(), full_estimates(m), g);
   EXPECT_EQ(g.size(), 2u);  // cond + true branch (documented deviation)
   EXPECT_DOUBLE_EQ(g.activities[1].est_duration, 15.0);
 }
@@ -135,7 +144,7 @@ TEST(Expand, ForkCyclesBranches) {
   auto b1 = Seq(execute_muscle<int, int>("fe2", [](int x) { return x; }));
   AdgSnapshot g;
   Estimates est = full_estimates(m, 4.0);  // |fs| = 4 over 2 branches
-  expand_expected(*Fork(m.fs, {b0, b1}, m.fm).node(), est, g, {});
+  expand_terminals(*Fork(m.fs, {b0, b1}, m.fm).node(), est, g);
   EXPECT_EQ(g.size(), 6u);  // split + 4 elements + merge
 }
 
@@ -144,7 +153,7 @@ TEST(Expand, DacDepthZeroIsCondPlusLeaf) {
   Estimates est = full_estimates(m);
   est.set(m.fc.m->id(), {1.0, 0.0});  // recursion depth 0
   AdgSnapshot g;
-  expand_expected(*DaC(m.fc, m.fs, Seq(m.fe), m.fm).node(), est, g, {});
+  expand_terminals(*DaC(m.fc, m.fs, Seq(m.fe), m.fm).node(), est, g);
   EXPECT_EQ(g.size(), 2u);  // cond + leaf fe
 }
 
@@ -153,7 +162,7 @@ TEST(Expand, DacDepthTwoBranchingTwoCounts) {
   Estimates est = full_estimates(m, 2.0);  // |fs| = 2
   est.set(m.fc.m->id(), {1.0, 2.0});       // depth 2
   AdgSnapshot g;
-  expand_expected(*DaC(m.fc, m.fs, Seq(m.fe), m.fm).node(), est, g, {});
+  expand_terminals(*DaC(m.fc, m.fs, Seq(m.fe), m.fm).node(), est, g);
   // level0: cond+split+merge, 2×level1 (cond+split+merge), 4×level2 (cond+leaf)
   // = 3 + 2*3 + 4*2 = 17.
   EXPECT_EQ(g.size(), 17u);
@@ -166,7 +175,10 @@ TEST(Expand, DacBodyVariantSkipsTheCondition) {
   AdgSnapshot g;
   const auto skel = DaC(m.fc, m.fs, Seq(m.fe), m.fm);  // keep the tree alive
   const auto& dac = static_cast<const DacNode&>(*skel.node());
-  expand_dac_body(dac, est, g, {}, /*level=*/0, /*divided=*/false);
+  IdBuffers ids;
+  std::vector<int> out;
+  expand_dac_body(dac, est, g, {}, out, ids, /*level=*/0, /*divided=*/false, {},
+                  /*est_depth=*/0);
   EXPECT_EQ(g.size(), 1u);  // only the leaf
 }
 
@@ -178,7 +190,9 @@ TEST(Expand, ExpectedDacAtDeepLevelIsLeafOnly) {
   const auto skel = DaC(m.fc, m.fs, Seq(m.fe), m.fm);  // keep the tree alive
   const auto& dac = static_cast<const DacNode&>(*skel.node());
   // At level 1 >= depth 1: cond + leaf.
-  expand_expected_dac(dac, est, g, {}, /*level=*/1);
+  IdBuffers ids;
+  std::vector<int> out;
+  expand_expected_dac(dac, est, g, {}, out, ids, /*level=*/1, {}, /*est_depth=*/0);
   EXPECT_EQ(g.size(), 2u);
 }
 
@@ -192,7 +206,7 @@ TEST(Expand, TruncationGuardStopsExplosion) {
   AdgSnapshot g;
   ExpandLimits lim;
   lim.max_activities = 500;
-  expand_expected(*DaC(m.fc, m.fs, Seq(m.fe), m.fm).node(), est, g, {}, lim);
+  expand_terminals(*DaC(m.fc, m.fs, Seq(m.fe), m.fm).node(), est, g, lim);
   EXPECT_TRUE(g.truncated);
   EXPECT_LE(g.size(), 520u);  // cap plus the in-flight frame finishing up
 }

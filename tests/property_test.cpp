@@ -547,10 +547,9 @@ TEST(WarmingSkipOracle, UnchangedStampProvesTheSnapshotStillIncomplete) {
 //
 // The controller plans on the frontier form of a snapshot: running and
 // pending activities only, done ones folded into `done_end` and
-// `past_peak`, settled subtrees replayed from a cache. The oracle replays
-// seeded random skeletons over all nine kinds into one TrackerSet and, at
-// every After event, checks that the full and the frontier form give
-// bit-identical schedules and decisions. Runs are recorded at LP 1 (a
+// `past_peak`. The oracle replays seeded random skeletons over all nine
+// kinds into one TrackerSet and, at every After event, checks that the full
+// and the frontier form give bit-identical schedules and decisions. Runs are recorded at LP 1 (a
 // deterministic stream) and at LP 4; timestamps are re-quantised to integer
 // ticks on most seeds so that ties and zero-length muscles abound. Some
 // seeds postpone muscle completions, so more muscles run at once than the
@@ -607,8 +606,14 @@ void check_frontier(const RandomSkeleton& sk, std::vector<Event> events, bool lp
       const std::size_t from = rng() % events.size();
       const std::size_t to = from + 1 + rng() % (events.size() - from);
       if (events[from].when != When::kBefore) continue;
+      // Stamped no later than any event after it: streams recorded at LP 4
+      // are not in time order, and the muscle it reopens must not close
+      // before it started.
       Event again = events[from];
       again.timestamp = events[to - 1].timestamp;
+      for (std::size_t j = to; j < events.size(); ++j) {
+        again.timestamp = std::min(again.timestamp, events[j].timestamp);
+      }
       if (k >= 3 && again.parent_exec_id >= 0) again.exec_id = 1000000 + k;
       events.insert(events.begin() + static_cast<std::ptrdiff_t>(to), again);
     }

@@ -508,6 +508,31 @@ TEST(ControllerSpacing, NextEvaluationWaitsFiftyTimesTheLastOnesCost) {
   EXPECT_EQ(ctl.evaluations(), 2);
 }
 
+TEST(ControllerSpacing, SloModeWaitsTenTimesTheLastOnesCost) {
+  // SLO evaluations read a tail snapshot, not the ADG, so they keep the
+  // floor of 10x their cost.
+  EstimateRegistry reg;
+  TrackerSet trackers(reg);
+  ManualClock pool_clock(0.0);
+  ResizableThreadPool pool(2, 8, &pool_clock);
+  StepClock clock(0.0, kStep);
+  ControllerConfig cfg;
+  cfg.slo.min_observations = 1;
+  AutonomicController ctl(pool, trackers, &clock, cfg);
+  ASSERT_TRUE(ctl.arm_slo(/*tail_goal=*/0.05, /*max_lp=*/8));  // read 1
+  ctl.record_latency(0.001);  // reads 2 and 3: starts at 2s, costs s
+  ASSERT_EQ(ctl.evaluations(), 1);
+  ASSERT_EQ(clock.reads(), 3);
+  // Latency k after it reads (3+k)s, i.e. (1+k)s after that evaluation
+  // started; min_interval is 0, so only the 10s duty-cycle floor holds it.
+  for (int k = 1; k <= 8; ++k) {
+    ctl.record_latency(0.001);
+    EXPECT_EQ(ctl.evaluations(), 1) << "latency " << k << " is inside the floor";
+  }
+  ctl.record_latency(0.001);  // k = 9: exactly 10s later
+  EXPECT_EQ(ctl.evaluations(), 2);
+}
+
 TEST(ControllerSpacing, WarmingControllerEvaluatesOnTheVeryNextEvent) {
   PaperExampleReplay r;
   r.replay_until(10.0);  // only the outer split ran: estimates incomplete
