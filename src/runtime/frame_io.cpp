@@ -4,6 +4,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cmath>
@@ -43,29 +44,91 @@ bool read_full(int fd, std::uint8_t* data, std::size_t size) {
   return true;
 }
 
+void append_frame(std::vector<std::uint8_t>& out, const WireFrame& f,
+                  const std::uint8_t* payload, std::size_t size) {
+  const WireFrameBytes bytes = encode_frame(f);
+  out.insert(out.end(), bytes.begin(), bytes.end());
+  if (size > 0) out.insert(out.end(), payload, payload + size);
+}
+
 namespace {
+// One recv's reach: a pipelined request pair or a coalesced reply pair with
+// small payloads fits many times over.
+constexpr std::size_t kReadChunk = 4096;
+}  // namespace
 
-/// Read exactly `size` bytes before `deadline`, polling with the REMAINING
-/// time each iteration (the deadline never re-arms — a trickling peer
-/// cannot extend the total wait). `*consumed` counts bytes read so the
-/// caller can tell a clean timeout from a mid-frame stall.
-enum class FillResult { kDone, kTimeout, kClosed };
+FrameReader::FrameReader(int fd) : fd_(fd), buf_(kReadChunk) {}
 
-FillResult read_until_deadline(
-    int fd, std::uint8_t* data, std::size_t size,
-    std::chrono::steady_clock::time_point deadline, std::size_t* consumed) {
-  std::size_t at = 0;
-  while (at < size) {
+std::size_t FrameReader::frame_bytes(WireFrame& f, bool& garbage) const {
+  garbage = false;
+  if (tail_ - head_ < kWireFrameSize) return 0;
+  if (!decode_frame(buf_.data() + head_, kWireFrameSize, f)) {
+    garbage = true;
+    return 0;
+  }
+  if (!frame_has_payload(f.type)) return kWireFrameSize;
+  // Variable payload: `b` carries the byte count. An advertised length past
+  // the protocol ceiling is a poisoned link, never an allocation request.
+  if (f.b > kMaxNamedPayload) {
+    garbage = true;
+    return 0;
+  }
+  return kWireFrameSize + static_cast<std::size_t>(f.b);
+}
+
+bool FrameReader::has_frame() const {
+  WireFrame f;
+  bool garbage = false;
+  const std::size_t need = frame_bytes(f, garbage);
+  return need > 0 && tail_ - head_ >= need;
+}
+
+ReadResult FrameReader::read(Duration timeout, WireFrame& out,
+                             std::vector<std::uint8_t>* payload) {
+  if (fd_ < 0) return ReadResult::kClosed;
+  // The deadline anchors HERE, once: every wake of this call — header,
+  // decode and payload — spends from the same budget.
+  const auto deadline =
+      std::chrono::steady_clock::now() +
+      std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+          std::chrono::duration<double>(std::max(0.0, timeout)));
+  for (;;) {
+    bool garbage = false;
+    const std::size_t need = frame_bytes(out, garbage);
+    if (garbage) return ReadResult::kGarbage;
+    if (need > 0 && tail_ - head_ >= need) {
+      if (payload != nullptr) {
+        payload->assign(buf_.data() + head_ + kWireFrameSize,
+                        buf_.data() + head_ + need);
+      }
+      head_ += need;
+      if (head_ == tail_) head_ = tail_ = 0;
+      return ReadResult::kFrame;
+    }
+    // Make room for the rest of this frame (the header, until it decodes):
+    // slide the partial frame to the front, and grow only for a validated
+    // payload length.
+    const std::size_t want = std::max(need, kWireFrameSize);
+    if (buf_.size() - head_ < want) {
+      std::copy(buf_.begin() + static_cast<std::ptrdiff_t>(head_),
+                buf_.begin() + static_cast<std::ptrdiff_t>(tail_),
+                buf_.begin());
+      tail_ -= head_;
+      head_ = 0;
+      if (buf_.size() < want) buf_.resize(want);
+    }
     const double remaining_s =
         std::chrono::duration<double>(deadline -
                                       std::chrono::steady_clock::now())
             .count();
     if (remaining_s <= 0.0) {
-      *consumed += at;
-      return FillResult::kTimeout;
+      // Nothing buffered is just "no frame"; a timeout MID-frame means the
+      // byte stream is desynced for good.
+      return tail_ == head_ ? ReadResult::kTimeout
+                            : ReadResult::kMidFrameStall;
     }
     struct pollfd pfd;
-    pfd.fd = fd;
+    pfd.fd = fd_;
     pfd.events = POLLIN;
     pfd.revents = 0;
     int r;
@@ -73,65 +136,14 @@ FillResult read_until_deadline(
       r = ::poll(&pfd, 1, static_cast<int>(std::ceil(remaining_s * 1000.0)));
     } while (r < 0 && errno == EINTR);
     if (r <= 0) continue;  // loop re-checks the ORIGINAL deadline
-    const ssize_t n = ::read(fd, data + at, size - at);
+    const ssize_t n = ::read(fd_, buf_.data() + tail_, buf_.size() - tail_);
     if (n > 0) {
-      at += static_cast<std::size_t>(n);
+      tail_ += static_cast<std::size_t>(n);
       continue;
     }
     if (n < 0 && errno == EINTR) continue;
-    *consumed += at;
-    return FillResult::kClosed;  // EOF: the peer went away
+    return ReadResult::kClosed;  // EOF: the peer went away
   }
-  *consumed += at;
-  return FillResult::kDone;
-}
-
-}  // namespace
-
-ReadResult read_frame(int fd, Duration timeout, WireFrame& out,
-                      std::vector<std::uint8_t>* payload) {
-  if (fd < 0) return ReadResult::kClosed;
-  // The deadline anchors HERE, once: the header read, the decode and the
-  // payload read all spend from the same budget.
-  const auto deadline =
-      std::chrono::steady_clock::now() +
-      std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-          std::chrono::duration<double>(std::max(0.0, timeout)));
-  std::uint8_t buf[kWireFrameSize];
-  std::size_t consumed = 0;
-  switch (read_until_deadline(fd, buf, kWireFrameSize, deadline, &consumed)) {
-    case FillResult::kDone:
-      break;
-    case FillResult::kTimeout:
-      // Nothing consumed is just "no frame"; a timeout MID-frame means the
-      // byte stream is desynced for good.
-      return consumed == 0 ? ReadResult::kTimeout : ReadResult::kMidFrameStall;
-    case FillResult::kClosed:
-      return ReadResult::kClosed;
-  }
-  if (!decode_frame(buf, kWireFrameSize, out)) return ReadResult::kGarbage;
-  if (!frame_has_payload(out.type)) {
-    if (payload != nullptr) payload->clear();
-    return ReadResult::kFrame;
-  }
-  // Variable payload: `b` carries the byte count. An advertised length past
-  // the protocol ceiling is a poisoned link, never an allocation request.
-  if (out.b > kMaxNamedPayload) return ReadResult::kGarbage;
-  std::vector<std::uint8_t> scratch;
-  std::vector<std::uint8_t>* dst = payload != nullptr ? payload : &scratch;
-  dst->assign(static_cast<std::size_t>(out.b), 0);
-  if (out.b == 0) return ReadResult::kFrame;
-  consumed = 0;
-  switch (read_until_deadline(fd, dst->data(), dst->size(), deadline,
-                              &consumed)) {
-    case FillResult::kDone:
-      return ReadResult::kFrame;
-    case FillResult::kTimeout:
-      return ReadResult::kMidFrameStall;  // header without payload = desync
-    case FillResult::kClosed:
-      return ReadResult::kClosed;
-  }
-  return ReadResult::kClosed;
 }
 
 }  // namespace frame_io
@@ -147,11 +159,18 @@ bool FdTransport::send(const WireFrame& f) { return send(f, nullptr, 0); }
 
 bool FdTransport::send(const WireFrame& f, const std::uint8_t* payload,
                        std::size_t size) {
+  const OutFrame one{f, payload, size};
+  return send_frames({&one, 1});
+}
+
+bool FdTransport::send_frames(std::span<const OutFrame> frames) {
   std::lock_guard lock(mu_);
   if (fd_ < 0) return false;
-  const WireFrameBytes bytes = encode_frame(f);
-  if (!frame_io::write_full(fd_, bytes.data(), bytes.size()) ||
-      (size > 0 && !frame_io::write_full(fd_, payload, size))) {
+  out_.clear();
+  for (const OutFrame& o : frames) {
+    frame_io::append_frame(out_, o.frame, o.payload, o.size);
+  }
+  if (!frame_io::write_full(fd_, out_.data(), out_.size())) {
     alive_.store(false, std::memory_order_release);
     return false;
   }
@@ -171,7 +190,7 @@ bool FdTransport::recv_impl(WireFrame& out,
                             std::vector<std::uint8_t>* payload,
                             Duration timeout) {
   if (fd_ < 0) return false;
-  switch (frame_io::read_frame(fd_, timeout, out, payload)) {
+  switch (reader_.read(timeout, out, payload)) {
     case frame_io::ReadResult::kFrame:
       return true;
     case frame_io::ReadResult::kTimeout:

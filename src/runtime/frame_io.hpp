@@ -15,14 +15,20 @@
 //     never legitimately writes nothing — looping on it would spin forever);
 //   * read_full: the blocking mirror, used by the fork()ed subprocess child
 //     (async-signal-safe: no locks, no allocation, fixed caller buffers);
-//   * read_frame: the deadline-honoring parent-side read. Every poll uses
-//     the REMAINING time to the deadline computed once at entry — the
-//     timeout is never re-armed after a partial read, so a peer trickling
-//     one byte per poll cannot extend the total wait past `timeout`
-//     (tests/tcp_transport_test.cpp pins total wait <= timeout + epsilon).
-//     The result distinguishes a clean timeout (nothing consumed, the
-//     stream is still in sync) from a mid-frame stall (the stream is
-//     desynced for good — the caller poisons the link).
+//   * FrameReader: the deadline-honoring, buffered read every non-child
+//     reader uses (FdTransport pool-side, TcpWorkerHost's serve loop). It
+//     makes one recv per wake and decodes every whole frame that recv
+//     brought in from its buffer, so a Complete and a ResultNamed written
+//     together cost one wake, not a poll+read pair per header and per
+//     payload. Every poll uses the REMAINING time to the deadline computed
+//     once at entry — the timeout is never re-armed after a partial read,
+//     so a peer trickling one byte per poll cannot extend the total wait
+//     past `timeout` (tests/tcp_transport_test.cpp pins total wait <=
+//     timeout + epsilon). The result distinguishes a clean timeout
+//     (nothing buffered, the stream is still in sync) from a mid-frame
+//     stall (the stream is desynced for good — the caller poisons the
+//     link); an advertised payload past kMaxNamedPayload is rejected from
+//     the header alone, before the buffer grows.
 //
 // FdTransport wraps the helpers into the Transport contract over any
 // connected stream fd; PipeTransport (socketpair to a fork child) and
@@ -52,37 +58,65 @@ bool read_full(int fd, std::uint8_t* data, std::size_t size);
 
 enum class ReadResult {
   kFrame,         // one whole frame (and its payload, if any) decoded
-  kTimeout,       // deadline passed with NOTHING consumed: stream in sync
+  kTimeout,       // deadline passed with NOTHING buffered: stream in sync
   kMidFrameStall, // deadline passed mid-frame: stream desynced — poison it
   kClosed,        // EOF or hard error
   kGarbage,       // bytes arrived but did not decode / payload oversized
 };
 
-/// Deadline-honoring frame read: poll before EVERY read with the remaining
-/// time to the deadline anchored at entry, never a blocking read. A named
-/// frame's payload (`out.b` bytes, bounded by kMaxNamedPayload) is read
-/// under the same deadline; `payload` may be null, in which case the bytes
-/// are consumed (keeping the stream in sync) and discarded.
-ReadResult read_frame(int fd, Duration timeout, WireFrame& out,
-                      std::vector<std::uint8_t>* payload);
+/// Append one encoded frame and its payload to `out` (one write's worth).
+void append_frame(std::vector<std::uint8_t>& out, const WireFrame& f,
+                  const std::uint8_t* payload, std::size_t size);
+
+/// Buffered frame reader over one stream fd. Owned by the fd's single
+/// reader (not thread-safe); the fd stays the caller's to close.
+class FrameReader {
+ public:
+  explicit FrameReader(int fd);
+
+  /// Next frame, waiting up to `timeout` seconds with the deadline anchored
+  /// here, once: a frame already buffered returns without a system call,
+  /// otherwise each wake is one poll plus one recv of whatever arrived. A
+  /// named frame's payload (`out.b` bytes, bounded by kMaxNamedPayload)
+  /// comes under the same deadline; `payload` may be null, in which case
+  /// the bytes are consumed (keeping the stream in sync) and discarded.
+  ReadResult read(Duration timeout, WireFrame& out,
+                  std::vector<std::uint8_t>* payload);
+
+  /// True when a whole frame (and its payload) is buffered: the next read()
+  /// returns it without touching the fd.
+  bool has_frame() const;
+
+ private:
+  /// Bytes the buffered frame needs in total, or 0 while its header is
+  /// incomplete; `garbage` is set when the header cannot be a frame.
+  std::size_t frame_bytes(WireFrame& f, bool& garbage) const;
+
+  int fd_;
+  std::vector<std::uint8_t> buf_;
+  std::size_t head_ = 0;  // first unread byte
+  std::size_t tail_ = 0;  // one past the last received byte
+};
 
 }  // namespace frame_io
 
 /// Transport over one connected stream fd — the shared body of
 /// PipeTransport (socketpair to a fork child) and TcpTransport (socket to a
-/// remote worker host). Locking: `mu_` serializes send/close against each
+/// remote worker host). Every send, a payload frame or a send_frames group
+/// included, is one write. Locking: `mu_` serializes send/close against each
 /// other; recv stays lease-owner-only (the session machine's contract), so
 /// it reads the fd without the mutex — close() shuts the socket down before
 /// closing so a concurrent recv wakes with EOF instead of touching a
 /// recycled fd number.
 class FdTransport : public Transport {
  public:
-  explicit FdTransport(int fd) : fd_(fd) {}
+  explicit FdTransport(int fd) : fd_(fd), reader_(fd) {}
   ~FdTransport() override;
 
   bool send(const WireFrame& f) override;
   bool send(const WireFrame& f, const std::uint8_t* payload,
             std::size_t size) override;
+  bool send_frames(std::span<const OutFrame> frames) override;
   bool recv(WireFrame& out, Duration timeout) override;
   bool recv(WireFrame& out, std::vector<std::uint8_t>& payload,
             Duration timeout) override;
@@ -100,7 +134,9 @@ class FdTransport : public Transport {
 
   int fd_ = -1;
   std::atomic<bool> alive_{true};
-  std::mutex mu_;  // send/close vs each other
+  std::mutex mu_;                  // send/close vs each other
+  std::vector<std::uint8_t> out_;  // under mu_: the next write's bytes
+  frame_io::FrameReader reader_;   // recv side only (lease owner)
 };
 
 }  // namespace askel

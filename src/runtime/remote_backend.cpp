@@ -121,7 +121,6 @@ bool RemoteWorkerBackend::pump_step(Outcome& out) {
     std::lock_guard slock(s.mu);
     s.transport = std::move(transport);
     s.next_seq = 1;
-    s.last_accounted = 0;
     s.open_lease = 0;
     s.batch_count = 0;
     s.retire_requested.store(false, std::memory_order_relaxed);
@@ -299,13 +298,10 @@ std::uint64_t RemoteWorkerBackend::task_begin(int worker,
   }
   if (s.transport == nullptr || !s.transport->alive()) return 0;
   if (cfg_.lease_batch > 1) {
-    // Batched mode: no wire traffic here. Open the window on its first
-    // bracket (anchoring the flush deadline and capturing the backlog hint
-    // the eventual Submit will piggyback); task_end counts and flushes.
-    if (s.batch_count == 0) {
-      s.batch_since = cfg_.clock->now();
-      s.batch_hint = queued_hint;
-    }
+    // Batched mode: no wire traffic here. A bracket that will open the
+    // window captures the backlog hint the eventual Submit piggybacks;
+    // task_end counts, anchors the flush deadline and flushes.
+    if (s.batch_count == 0) s.batch_hint = queued_hint;
     return kBatchToken;
   }
   const std::uint64_t seq = s.next_seq++;
@@ -344,6 +340,11 @@ void RemoteWorkerBackend::task_end(int worker, std::uint64_t lease) {
       s.batch_count = 0;
       return;
     }
+    // The flush deadline anchors when a bracket enters an EMPTY window —
+    // not at this task's begin: a named call inside the task may already
+    // have flushed the window that was open then, and a deadline anchored
+    // before that flush would find the fresh window stale at once.
+    if (s.batch_count == 0) s.batch_since = cfg_.clock->now();
     ++s.batch_count;
     const bool full =
         s.batch_count >= static_cast<std::uint64_t>(cfg_.lease_batch);
@@ -354,13 +355,10 @@ void RemoteWorkerBackend::task_end(int worker, std::uint64_t lease) {
     }
     return;
   }
-  s.open_lease = 0;  // resolving now, one way or the other
-  if (s.transport == nullptr) {
-    // The session vanished under an open lease (should not happen: the
-    // lease owner is the only lease-plane writer) — account it as lost.
-    losses_.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
+  // A named call inside the task settled this bracket already (its
+  // Complete arrived in the call's receive loop), or the session dropped
+  // under it and recovered it: either way it is accounted.
+  if (s.open_lease != lease) return;
   await_complete_locked(s, lease);
 }
 
@@ -374,7 +372,6 @@ void RemoteWorkerBackend::await_complete_locked(Session& s,
     if (s.transport->recv(f, wait)) {
       if (f.type == WireFrameType::kComplete) {
         if (f.seq == lease) {
-          s.last_accounted = lease;
           completes_.fetch_add(1, std::memory_order_relaxed);
           return;
         }
@@ -393,7 +390,6 @@ void RemoteWorkerBackend::await_complete_locked(Session& s,
     if (!s.transport->alive()) {
       // Crash: the completion can never arrive; the task itself already ran
       // in-process, so only the lease is recovered — never the work.
-      s.last_accounted = std::max(s.last_accounted, lease);
       losses_.fetch_add(1, std::memory_order_relaxed);
       drop_session_locked(s);
       return;
@@ -404,7 +400,6 @@ void RemoteWorkerBackend::await_complete_locked(Session& s,
     // resolve deterministically as a recovered lease. Real time keeps
     // waiting until the deadline.
     if (cfg_.manual_pump || cfg_.clock->now() >= deadline) {
-      s.last_accounted = std::max(s.last_accounted, lease);
       losses_.fetch_add(1, std::memory_order_relaxed);
       return;  // link stays up: a late completion is ignored on arrival
     }
@@ -425,7 +420,6 @@ void RemoteWorkerBackend::flush_batch_locked(Session& s, int worker) {
   leases_.fetch_add(1, std::memory_order_relaxed);
   tasks_batched_.fetch_add(count, std::memory_order_relaxed);
   batch_flushes_.fetch_add(1, std::memory_order_relaxed);
-  s.open_lease = seq;
   await_complete_locked(s, seq);
 }
 
@@ -494,12 +488,6 @@ NamedCallResult RemoteWorkerBackend::call_named(int worker, WireMuscleId id,
   Session& s = *sessions_[static_cast<std::size_t>(worker)];
   std::lock_guard lock(s.mu);
   if (s.transport == nullptr || !s.transport->alive()) return r;
-  // The inbox is strictly ordered per session: an open batch window's
-  // Complete must not interleave with our Result, so flush it first.
-  if (s.batch_count > 0) {
-    flush_batch_locked(s, worker);
-    if (s.transport == nullptr || !s.transport->alive()) return r;
-  }
   const std::vector<std::uint8_t> payload = encode_pod(arg);
   if (payload.size() > kMaxNamedPayload) {
     // Never ships: an oversized argument is the caller's bug, reported the
@@ -509,71 +497,106 @@ NamedCallResult RemoteWorkerBackend::call_named(int worker, WireMuscleId id,
     r.status = NamedStatus::kBadArgument;
     return r;
   }
-  const std::uint64_t seq = s.next_seq++;
-  if (!s.transport->send(
-          WireFrame{WireFrameType::kSubmitNamed,
-                    static_cast<std::uint32_t>(worker), seq, id,
-                    static_cast<std::uint64_t>(payload.size())},
-          payload.data(), payload.size())) {
-    drop_session_locked(s);
-    return r;
+  // An open batch window rides in the same write, its Submit first so the
+  // session's inbox stays ordered; one receive loop then settles both
+  // leases — one send and one wait per call instead of two of each.
+  const auto who = static_cast<std::uint32_t>(worker);
+  const std::uint64_t window = s.batch_count;
+  std::uint64_t flush_seq = 0;
+  OutFrame frames[2];
+  std::size_t n = 0;
+  if (window > 0) {
+    s.batch_count = 0;
+    flush_seq = s.next_seq++;
+    frames[n++] = OutFrame{
+        WireFrame{WireFrameType::kSubmit, who, flush_seq, s.batch_hint, window}};
   }
-  leases_.fetch_add(1, std::memory_order_relaxed);
+  const std::uint64_t seq = s.next_seq++;
+  frames[n++] = OutFrame{
+      WireFrame{WireFrameType::kSubmitNamed, who, seq, id,
+                static_cast<std::uint64_t>(payload.size())},
+      payload.data(), payload.size()};
+  if (!s.transport->send_frames({frames, n})) {
+    drop_session_locked(s);
+    return r;  // nothing leased: the window's tasks already ran in-process
+  }
+  leases_.fetch_add(n, std::memory_order_relaxed);
   named_calls_.fetch_add(1, std::memory_order_relaxed);
-  s.open_lease = seq;
+  if (window > 0) {
+    tasks_batched_.fetch_add(window, std::memory_order_relaxed);
+    batch_flushes_.fetch_add(1, std::memory_order_relaxed);
+  }
+  // Leases this loop resolves: the call itself and the window flush. The
+  // bracket of an unbatched pool task (open_lease) is settled here too when
+  // its Complete shows up — it was written before our request, so it comes
+  // first — which spares task_end a wait for a frame already consumed.
+  bool call_open = true;
   const TimePoint deadline = cfg_.clock->now() + cfg_.complete_timeout;
-  std::vector<std::uint8_t> result_payload;
-  for (;;) {
+  std::vector<std::uint8_t> frame_payload;
+  while (call_open || flush_seq != 0) {
     WireFrame f;
     const Duration wait = std::max(0.0, deadline - cfg_.clock->now());
-    if (s.transport->recv(f, result_payload, wait)) {
-      if (f.type == WireFrameType::kResultNamed && f.seq == seq) {
-        s.open_lease = 0;
-        s.last_accounted = seq;
+    if (s.transport->recv(f, frame_payload, wait)) {
+      if (f.type == WireFrameType::kResultNamed && call_open && f.seq == seq) {
+        call_open = false;
         completes_.fetch_add(1, std::memory_order_relaxed);
         r.transported = true;
         r.status = f.a <= static_cast<std::uint64_t>(NamedStatus::kUnsupported)
                        ? static_cast<NamedStatus>(f.a)
                        : NamedStatus::kUnsupported;
         if (r.status == NamedStatus::kOk &&
-            !decode_pod(result_payload.data(), result_payload.size(),
-                        r.value)) {
+            !decode_pod(frame_payload.data(), frame_payload.size(), r.value)) {
           r.status = NamedStatus::kBadArgument;  // malformed result payload
         }
         if (r.status != NamedStatus::kOk) {
           named_errors_.fetch_add(1, std::memory_order_relaxed);
         }
-        return r;
+        continue;
+      }
+      if (f.type == WireFrameType::kComplete && f.seq != 0 &&
+          (f.seq == flush_seq || f.seq == s.open_lease)) {
+        if (f.seq == flush_seq) {
+          flush_seq = 0;
+        } else {
+          s.open_lease = 0;
+        }
+        completes_.fetch_add(1, std::memory_order_relaxed);
+        continue;
       }
       if (f.type == WireFrameType::kComplete ||
           f.type == WireFrameType::kResultNamed) {
-        // Stale delivery of an earlier-recovered lease: count and ignore.
+        // Duplicate or stale delivery of an earlier lease: count and ignore.
         ignored_.fetch_add(1, std::memory_order_relaxed);
         continue;
       }
       if (f.type == WireFrameType::kHeartbeatAck) {
         hb_acked_.fetch_add(1, std::memory_order_relaxed);
-        continue;
       }
       continue;
     }
-    if (!s.transport->alive()) {
-      s.open_lease = 0;
-      s.last_accounted = std::max(s.last_accounted, seq);
-      losses_.fetch_add(1, std::memory_order_relaxed);
-      drop_session_locked(s);
-      return r;  // transported stays false: the call never resolved
-    }
-    if (cfg_.manual_pump || cfg_.clock->now() >= deadline) {
-      s.open_lease = 0;
-      s.last_accounted = std::max(s.last_accounted, seq);
-      losses_.fetch_add(1, std::memory_order_relaxed);
-      return r;  // link stays up: a late result is ignored on arrival
+    const bool dead = !s.transport->alive();
+    if (dead || cfg_.manual_pump || cfg_.clock->now() >= deadline) {
+      // Every lease of this call still open is recovered, once. A dead link
+      // is torn down (which recovers an open bracket too); a live one stays
+      // up and a late frame is ignored on arrival. `transported` stays
+      // false when the call itself never resolved.
+      const int open = (call_open ? 1 : 0) + (flush_seq != 0 ? 1 : 0);
+      losses_.fetch_add(static_cast<std::uint64_t>(open),
+                        std::memory_order_relaxed);
+      if (dead) drop_session_locked(s);
+      return r;
     }
   }
+  return r;
 }
 
 void RemoteWorkerBackend::drop_session_locked(Session& s) {
+  // A bracket still open on the dying link can never complete: recover it
+  // here, so its task_end finds it accounted.
+  if (s.open_lease != 0) {
+    s.open_lease = 0;
+    losses_.fetch_add(1, std::memory_order_relaxed);
+  }
   if (s.transport != nullptr) {
     s.transport->close();
     s.transport.reset();

@@ -23,8 +23,15 @@
 //               leases == completes + losses_recovered, always — the
 //               fault suite pins this on every plan, so a dropped or
 //               reordered completion can never lose a task.
-//   A Complete with seq <= last accounted is a duplicate/stale delivery and
-//   is counted + ignored, so a duplicated completion can never double-close.
+//   A Complete for no lease still open is a duplicate/stale delivery and is
+//   counted + ignored, so a duplicated completion can never double-close.
+//
+// Named calls (call_named): kSubmitNamed -> kResultNamed is a lease of its
+// own. A named call made inside a bracketed pool task reads the session's
+// inbox while the bracket is open, so its receive loop also settles the
+// bracket's Complete when that arrives (it was written first); task_end
+// then finds the bracket accounted and does not wait for a frame already
+// consumed.
 //
 // Batched leases (cfg.lease_batch K > 1): task_begin/task_end stop round-
 // tripping per task. Brackets accumulate in a per-session window; the K-th
@@ -32,8 +39,18 @@
 // deferred retire) flushes the window as ONE Submit whose `b` field carries
 // the bracket count, then awaits its single Complete — the same recovery
 // loop, so leases == completes + losses_recovered still holds with one
-// lease per window. The heartbeat sweep (and pump(), in manual mode)
-// flushes a stale window when no further bracket arrives.
+// lease per window. The flush deadline anchors when a bracket enters an
+// empty window in task_end. The heartbeat sweep (and pump(), in manual
+// mode) flushes a stale window when no further bracket arrives.
+//
+// Pipelined window: a named call that finds a window open ships its
+// Submit{b = count} and the kSubmitNamed frame in ONE write, and one
+// receive loop settles both leases (Complete{flush} and ResultNamed) — one
+// send and one wait per remote named task. The TCP worker host answers
+// such a pair with one write too (it holds replies while another whole
+// request is buffered), so the pool worker wakes once. Every fault path
+// still accounts each lease exactly once: a failed send opens neither, a
+// dead link or a passed deadline recovers whichever is still open.
 //
 // Failure taxonomy -> behavior:
 //   slow provision    provision() returns kPending; the join lands through
@@ -177,8 +194,8 @@ class RemoteWorkerBackend : public WorkerBackend {
   /// Execute registered muscle `id` remotely on `worker`'s session with the
   /// encoded `arg` (kSubmitNamed -> kResultNamed round trip). The call is a
   /// lease: it resolves as a complete or a recovered loss under the same
-  /// invariant as task brackets. Any open batch window flushes first so the
-  /// session's inbox stays strictly ordered.
+  /// invariant as task brackets. An open batch window is flushed in the same
+  /// write, ahead of the call, and settled by the same receive loop.
   NamedCallResult call_named(int worker, WireMuscleId id, const PodValue& arg);
 
   /// Sessions with a live transport right now.
@@ -190,11 +207,10 @@ class RemoteWorkerBackend : public WorkerBackend {
     std::mutex mu;  // lease plane: transport use + seq bookkeeping
     std::unique_ptr<Transport> transport;
     std::uint64_t next_seq = 1;
-    std::uint64_t last_accounted = 0;  // highest seq completed OR recovered
-    std::uint64_t open_lease = 0;      // lease in flight (under mu)
+    std::uint64_t open_lease = 0;  // unbatched bracket in flight (under mu)
     // Batched-lease window (lease_batch > 1, all under mu): brackets
     // accumulated since the last flush, the queued hint of the first, and
-    // when the window opened (anchor of the flush deadline).
+    // when the first entered the window (anchor of the flush deadline).
     std::uint64_t batch_count = 0;
     std::uint64_t batch_hint = 0;
     TimePoint batch_since = 0.0;
@@ -217,7 +233,8 @@ class RemoteWorkerBackend : public WorkerBackend {
   bool pump_step(Outcome& out);
   void provision_loop(const std::stop_token& st);
   bool session_live(int worker) const;
-  /// session.mu held: tear the transport down and count the loss.
+  /// session.mu held: tear the transport down and count the loss; an open
+  /// bracket lease on it is recovered here.
   void drop_session_locked(Session& s);
   /// session.mu held: clean retire — Retire frame, close, count. A pending
   /// batch window flushes fire-and-forget first (no lease opened: the

@@ -26,17 +26,6 @@ bool set_nonblocking(int fd, bool on) {
   return ::fcntl(fd, F_SETFL, want) == 0;
 }
 
-bool send_frame(int fd, const WireFrame& f) {
-  const WireFrameBytes bytes = encode_frame(f);
-  return frame_io::write_full(fd, bytes.data(), bytes.size());
-}
-
-bool send_frame(int fd, const WireFrame& f, const std::uint8_t* payload,
-                std::size_t size) {
-  return send_frame(fd, f) &&
-         (size == 0 || frame_io::write_full(fd, payload, size));
-}
-
 /// The pool-side transport is the shared FdTransport verbatim — TCP adds no
 /// teardown of its own (no child to reap); the alias exists for on-wire
 /// clarity in stack traces and docs.
@@ -142,45 +131,50 @@ void TcpWorkerHost::serve(int fd) {
     std::lock_guard lock(mu_);
     std::erase(session_fds_, fd);
   };
+  // Replies queue here and go out in one write once no further whole
+  // request is buffered: a pipelined Submit + SubmitNamed pair is answered
+  // by one Complete + ResultNamed write, so the pool side wakes once.
+  std::vector<std::uint8_t> replies;
+  const auto reply = [&replies](const WireFrame& f,
+                                const std::uint8_t* payload = nullptr,
+                                std::size_t size = 0) {
+    frame_io::append_frame(replies, f, payload, size);
+  };
   // Hello first — the factory's try_connect waits for it before declaring
   // the join complete, same contract as the subprocess child.
-  if (!send_frame(fd, WireFrame{WireFrameType::kHello, 0, 0,
-                                static_cast<std::uint64_t>(::getpid()), 0})) {
-    forget_fd();
-    ::close(fd);
-    return;
-  }
+  reply(WireFrame{WireFrameType::kHello, 0, 0,
+                  static_cast<std::uint64_t>(::getpid()), 0});
+  frame_io::FrameReader reader(fd);
   std::vector<std::uint8_t> payload;
   int tasks = 0;
-  for (;;) {
+  bool open = true;
+  while (open) {
+    if (!replies.empty() && !reader.has_frame()) {
+      if (!frame_io::write_full(fd, replies.data(), replies.size())) break;
+      replies.clear();
+    }
     if (stop_.load(std::memory_order_acquire)) break;
     WireFrame f;
     // Short poll so stop() never waits long; the deadline semantics under
     // test live pool-side in FdTransport, not here.
-    const auto res = frame_io::read_frame(fd, 0.1, f, &payload);
+    const auto res = reader.read(0.1, f, &payload);
     if (res == frame_io::ReadResult::kTimeout) continue;
     if (res != frame_io::ReadResult::kFrame) break;  // EOF / desync / garbage
     switch (f.type) {
-      case WireFrameType::kSubmit: {
+      case WireFrameType::kSubmit:
         ++tasks;
         if (cfg_.crash_after_tasks > 0 && tasks >= cfg_.crash_after_tasks) {
           // Crash hook: die BETWEEN Submit and Complete — the pool holds an
-          // open lease and must recover it off the EOF.
+          // open lease and must recover it off the EOF. Replies still held
+          // die with the process, as a real crash's unsent output would.
           forget_fd();
           ::close(fd);
           return;
         }
-        if (!send_frame(fd, WireFrame{WireFrameType::kComplete, f.worker,
-                                      f.seq, 0, 0})) {
-          goto done;
-        }
+        reply(WireFrame{WireFrameType::kComplete, f.worker, f.seq, 0, 0});
         break;
-      }
       case WireFrameType::kHeartbeat:
-        if (!send_frame(fd, WireFrame{WireFrameType::kHeartbeatAck, f.worker,
-                                      f.seq, 0, 0})) {
-          goto done;
-        }
+        reply(WireFrame{WireFrameType::kHeartbeatAck, f.worker, f.seq, 0, 0});
         break;
       case WireFrameType::kSubmitNamed: {
         PodValue arg, result;
@@ -191,14 +185,14 @@ void TcpWorkerHost::serve(int fd) {
                                   result)) {
           status = NamedStatus::kUnknownMuscle;
         }
-        std::vector<std::uint8_t> reply;
+        std::vector<std::uint8_t> out;
         if (status == NamedStatus::kOk) {
-          reply = encode_pod(result);
-          if (reply.size() > kMaxNamedPayload) {
+          out = encode_pod(result);
+          if (out.size() > kMaxNamedPayload) {
             // A result too large for the wire is the muscle's bug; answer
             // it as a protocol error rather than poisoning the link.
             status = NamedStatus::kBadArgument;
-            reply.clear();
+            out.clear();
           }
         }
         {
@@ -206,25 +200,22 @@ void TcpWorkerHost::serve(int fd) {
           ++named_calls_;
           if (status != NamedStatus::kOk) ++named_errors_;
         }
-        if (!send_frame(fd,
-                        WireFrame{WireFrameType::kResultNamed, f.worker, f.seq,
-                                  static_cast<std::uint64_t>(status),
-                                  static_cast<std::uint64_t>(reply.size())},
-                        reply.data(), reply.size())) {
-          goto done;
-        }
+        reply(WireFrame{WireFrameType::kResultNamed, f.worker, f.seq,
+                        static_cast<std::uint64_t>(status),
+                        static_cast<std::uint64_t>(out.size())},
+              out.data(), out.size());
         break;
       }
       case WireFrameType::kRetire:
-        send_frame(fd, WireFrame{WireFrameType::kRetired, f.worker, f.seq, 0,
-                                 0});  // best effort
-        goto done;
+        reply(WireFrame{WireFrameType::kRetired, f.worker, f.seq, 0, 0});
+        frame_io::write_full(fd, replies.data(), replies.size());  // best effort
+        open = false;
+        break;
       case WireFrameType::kStealHint:
       default:
         break;  // advisory / unknown: ignore
     }
   }
-done:
   forget_fd();
   ::close(fd);
 }

@@ -20,6 +20,10 @@
 //       kRetire      -> kRetired + close
 //     A malformed argument answers kBadArgument, an unregistered id
 //     kUnknownMuscle — protocol errors are *replies*, never torn links.
+//     Requests come through the buffered frame_io::FrameReader; replies
+//     are held while another whole request is already buffered, then
+//     written together, so a pipelined Submit + SubmitNamed pair is
+//     answered by one Complete + ResultNamed write.
 //     The crash_after_tasks hook closes the connection after the Nth
 //     Submit WITHOUT completing it — a deterministic "peer died between
 //     Submit and Complete" for the crash-recovery conformance tests.

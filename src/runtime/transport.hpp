@@ -49,6 +49,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -109,6 +110,13 @@ WireFrameBytes encode_frame(const WireFrame& f);
 /// those as a poisoned link.
 bool decode_frame(const std::uint8_t* wire, std::size_t size, WireFrame& out);
 
+/// One outbound frame and its payload (named dialect: `frame.b` == size).
+struct OutFrame {
+  WireFrame frame;
+  const std::uint8_t* payload = nullptr;
+  std::size_t size = 0;
+};
+
 /// One remote worker's duplex channel.
 class Transport {
  public:
@@ -121,6 +129,15 @@ class Transport {
   virtual bool send(const WireFrame& f, const std::uint8_t* /*payload*/,
                     std::size_t size) {
     return size == 0 ? send(f) : false;
+  }
+  /// Ship several frames, in order; fd transports put them in one write.
+  /// False = link down, with no telling how many went out: the caller
+  /// treats the whole group as unsent. Default: one send per frame.
+  virtual bool send_frames(std::span<const OutFrame> frames) {
+    for (const OutFrame& o : frames) {
+      if (!send(o.frame, o.payload, o.size)) return false;
+    }
+    return true;
   }
   /// Next inbound frame, waiting up to `timeout` seconds (0 = only what is
   /// already deliverable; virtual-time transports never wait). False =

@@ -25,6 +25,7 @@
 #include "runtime/muscle_table.hpp"
 #include "runtime/subprocess_backend.hpp"
 #include "runtime/tcp_transport.hpp"
+#include "runtime/thread_pool.hpp"
 #include "runtime/transport.hpp"
 
 namespace askel {
@@ -41,12 +42,14 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
 /// the test to play the (mis)behaving peer.
 struct Pair {
   std::unique_ptr<FdTransport> transport;
+  int transport_fd = -1;  // [0]: for reader tests that read it directly
   int peer = -1;
 
   Pair() {
     int sv[2];
     EXPECT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
     transport = std::make_unique<FdTransport>(sv[0]);
+    transport_fd = sv[0];
     peer = sv[1];
   }
   ~Pair() {
@@ -151,8 +154,8 @@ TEST(FrameIo, NamedFramesRoundTripPayloadOverARealSocket) {
   ASSERT_TRUE(p.transport->send(f, payload.data(), payload.size()));
   WireFrame got;
   std::vector<std::uint8_t> got_payload;
-  ASSERT_EQ(frame_io::read_frame(p.peer, 1.0, got, &got_payload),
-            frame_io::ReadResult::kFrame);
+  frame_io::FrameReader reader(p.peer);
+  ASSERT_EQ(reader.read(1.0, got, &got_payload), frame_io::ReadResult::kFrame);
   EXPECT_EQ(got, f);
   EXPECT_EQ(got_payload, payload);
 }
@@ -168,11 +171,10 @@ TEST(FrameIo, PayloadlessRecvConsumesThePayloadToKeepSync) {
   // Reading the named frame through the frame-only overload must discard
   // the payload bytes, leaving the NEXT frame intact on the stream.
   WireFrame f;
-  ASSERT_EQ(frame_io::read_frame(p.peer, 1.0, f, nullptr),
-            frame_io::ReadResult::kFrame);
+  frame_io::FrameReader reader(p.peer);
+  ASSERT_EQ(reader.read(1.0, f, nullptr), frame_io::ReadResult::kFrame);
   EXPECT_EQ(f.type, WireFrameType::kResultNamed);
-  ASSERT_EQ(frame_io::read_frame(p.peer, 1.0, f, nullptr),
-            frame_io::ReadResult::kFrame);
+  ASSERT_EQ(reader.read(1.0, f, nullptr), frame_io::ReadResult::kFrame);
   EXPECT_EQ(f.type, WireFrameType::kComplete);
   EXPECT_EQ(f.seq, 2u);
 }
@@ -185,6 +187,143 @@ TEST(FrameIo, OversizedAdvertisedPayloadPoisonsNeverAllocates) {
   WireFrame f;
   EXPECT_FALSE(p.transport->recv(f, 0.5));
   EXPECT_FALSE(p.transport->alive());  // hostile length = poisoned link
+}
+
+// ------------------------------------------------ buffered reader contract --
+
+TEST(FrameReader, TwoFramesInOneSegmentDecodeAsTwoFrames) {
+  Pair p;
+  std::vector<std::uint8_t> wire;
+  const std::vector<std::uint8_t> result = {4, 5, 6};
+  frame_io::append_frame(wire, WireFrame{WireFrameType::kComplete, 0, 1, 0, 0},
+                         nullptr, 0);
+  frame_io::append_frame(
+      wire, WireFrame{WireFrameType::kResultNamed, 0, 2, 0, result.size()},
+      result.data(), result.size());
+  ASSERT_TRUE(frame_io::write_full(p.peer, wire.data(), wire.size()));
+  frame_io::FrameReader reader(p.transport_fd);
+  WireFrame f;
+  std::vector<std::uint8_t> payload;
+  ASSERT_EQ(reader.read(1.0, f, &payload), frame_io::ReadResult::kFrame);
+  EXPECT_EQ(f.type, WireFrameType::kComplete);
+  EXPECT_TRUE(payload.empty());
+  // The first wake buffered the second frame whole: it decodes with a zero
+  // timeout, i.e. without another recv.
+  EXPECT_TRUE(reader.has_frame());
+  ASSERT_EQ(reader.read(0.0, f, &payload), frame_io::ReadResult::kFrame);
+  EXPECT_EQ(f.type, WireFrameType::kResultNamed);
+  EXPECT_EQ(f.seq, 2u);
+  EXPECT_EQ(payload, result);
+  EXPECT_FALSE(reader.has_frame());
+}
+
+TEST(FrameReader, HeaderAndPayloadSplitAcrossSegments) {
+  Pair p;
+  const std::vector<std::uint8_t> arg = {7, 8, 9, 10, 11};
+  const WireFrame sent{WireFrameType::kSubmitNamed, 1, 3, 5, arg.size()};
+  const WireFrameBytes header = encode_frame(sent);
+  std::thread writer([&] {
+    // Half the header, the rest of it, then the payload: three segments.
+    ASSERT_TRUE(frame_io::write_full(p.peer, header.data(), 20));
+    std::this_thread::sleep_for(20ms);
+    ASSERT_TRUE(frame_io::write_full(p.peer, header.data() + 20,
+                                     header.size() - 20));
+    std::this_thread::sleep_for(20ms);
+    ASSERT_TRUE(frame_io::write_full(p.peer, arg.data(), arg.size()));
+  });
+  frame_io::FrameReader reader(p.transport_fd);
+  WireFrame f;
+  std::vector<std::uint8_t> payload;
+  EXPECT_EQ(reader.read(2.0, f, &payload), frame_io::ReadResult::kFrame);
+  writer.join();
+  EXPECT_EQ(f, sent);
+  EXPECT_EQ(payload, arg);
+}
+
+TEST(FrameReader, TrickleCannotStretchTheWaitPastTheTimeout) {
+  Pair p;
+  std::atomic<bool> stop{false};
+  std::thread trickler([&] {
+    const WireFrameBytes bytes = encode_frame(
+        WireFrame{WireFrameType::kComplete, 0, 1, 0, 0});
+    for (std::size_t at = 0;
+         !stop.load(std::memory_order_acquire) && at < bytes.size(); ++at) {
+      if (::send(p.peer, bytes.data() + at, 1, MSG_NOSIGNAL) != 1) break;
+      std::this_thread::sleep_for(20ms);
+    }
+  });
+  frame_io::FrameReader reader(p.transport_fd);
+  WireFrame f;
+  const double timeout = 0.2;
+  const auto t0 = std::chrono::steady_clock::now();
+  const frame_io::ReadResult res = reader.read(timeout, f, nullptr);
+  const double waited = seconds_since(t0);
+  stop.store(true, std::memory_order_release);
+  trickler.join();
+  EXPECT_EQ(res, frame_io::ReadResult::kMidFrameStall);
+  EXPECT_LE(waited, timeout + 0.3);
+}
+
+TEST(FrameReader, PartialHeaderAtTheDeadlineIsAMidFrameStall) {
+  Pair p;
+  const WireFrameBytes bytes = encode_frame(
+      WireFrame{WireFrameType::kHeartbeatAck, 0, 1, 0, 0});
+  ASSERT_TRUE(frame_io::write_full(p.peer, bytes.data(), 12));
+  frame_io::FrameReader reader(p.transport_fd);
+  WireFrame f;
+  EXPECT_EQ(reader.read(0.05, f, nullptr), frame_io::ReadResult::kMidFrameStall);
+  // A clean timeout, by contrast, needs nothing buffered.
+  Pair idle;
+  frame_io::FrameReader idle_reader(idle.transport_fd);
+  EXPECT_EQ(idle_reader.read(0.02, f, nullptr), frame_io::ReadResult::kTimeout);
+}
+
+TEST(FrameReader, OversizeLengthIsRejectedFromTheHeaderAlone) {
+  Pair p;
+  const WireFrameBytes bytes = encode_frame(
+      WireFrame{WireFrameType::kResultNamed, 0, 1, 0, kMaxNamedPayload + 1});
+  ASSERT_TRUE(frame_io::write_full(p.peer, bytes.data(), bytes.size()));
+  frame_io::FrameReader reader(p.transport_fd);
+  WireFrame f;
+  std::vector<std::uint8_t> payload;
+  const auto t0 = std::chrono::steady_clock::now();
+  // Garbage at once: no wait for the advertised bytes, no buffer grown or
+  // payload sized for them.
+  EXPECT_EQ(reader.read(5.0, f, &payload), frame_io::ReadResult::kGarbage);
+  EXPECT_LT(seconds_since(t0), 1.0);
+  EXPECT_EQ(payload.capacity(), 0u);
+}
+
+TEST(FrameReader, EofMidFrameIsClosed) {
+  Pair p;
+  const WireFrameBytes bytes = encode_frame(
+      WireFrame{WireFrameType::kComplete, 0, 1, 0, 0});
+  ASSERT_TRUE(frame_io::write_full(p.peer, bytes.data(), 10));
+  ::close(p.peer);
+  p.peer = -1;
+  frame_io::FrameReader reader(p.transport_fd);
+  WireFrame f;
+  const auto t0 = std::chrono::steady_clock::now();
+  EXPECT_EQ(reader.read(5.0, f, nullptr), frame_io::ReadResult::kClosed);
+  EXPECT_LT(seconds_since(t0), 1.0);
+}
+
+TEST(FdTransport, SendFramesPutsTheGroupOnTheWireInOrderInOneWrite) {
+  Pair p;
+  const std::vector<std::uint8_t> arg = {1, 2, 3};
+  const WireFrame window{WireFrameType::kSubmit, 0, 1, 0, 5};
+  const WireFrame call{WireFrameType::kSubmitNamed, 0, 2, 9, arg.size()};
+  const OutFrame group[] = {OutFrame{window}, OutFrame{call, arg.data(), arg.size()}};
+  ASSERT_TRUE(p.transport->send_frames(group));
+  // One write: the whole group is readable at once, Submit first.
+  std::vector<std::uint8_t> expected;
+  frame_io::append_frame(expected, window, nullptr, 0);
+  frame_io::append_frame(expected, call, arg.data(), arg.size());
+  std::vector<std::uint8_t> got(expected.size() + 16);
+  const ssize_t n = ::recv(p.peer, got.data(), got.size(), MSG_DONTWAIT);
+  ASSERT_EQ(n, static_cast<ssize_t>(expected.size()));
+  got.resize(static_cast<std::size_t>(n));
+  EXPECT_EQ(got, expected);
 }
 
 // ------------------------------------------------- host + factory, E2E -----
@@ -335,6 +474,48 @@ TEST(TcpBackend, NamedCallEndToEndThroughTheSessionMachine) {
   EXPECT_EQ(s.named_errors, 1u);
   EXPECT_EQ(s.leases, s.completes + s.losses_recovered);
   EXPECT_EQ(s.losses_recovered, 0u);
+}
+
+TEST(TcpBackend, NamedCallInsideAnUnbatchedBracketBooksNoFalseLoss) {
+  // lease_batch 1: the pool task's bracket Complete reaches the session
+  // before the named call's result. The call's receive loop must settle the
+  // bracket, not discard its Complete as stale — otherwise task_end waits
+  // out complete_timeout and books a loss for a healthy round trip.
+  MuscleTable table;
+  const WireMuscleId inc = table.register_muscle(
+      "inc", [](const PodValue& v) { return PodValue::of_i64(v.as_i64() + 1); });
+  TcpWorkerHost host(table);
+  ASSERT_TRUE(host.listening());
+  TcpBackendConfig cfg;
+  cfg.port = host.port();
+  cfg.max_workers = 1;
+  cfg.complete_timeout = 2.0;
+  TcpBackend backend(cfg);
+  ResizableThreadPool pool(1, 1);
+  pool.set_backend(&backend);
+  const auto deadline = std::chrono::steady_clock::now() + 10s;
+  while (backend.live_sessions() < 1 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(1ms);
+  }
+  ASSERT_EQ(backend.live_sessions(), 1);
+  const RemoteBackendStats before = backend.stats();
+  std::int64_t got = 0;
+  const auto t0 = std::chrono::steady_clock::now();
+  pool.submit([&] {
+    const NamedCallResult r = backend.call_named(0, inc, PodValue::of_i64(41));
+    if (r.transported && r.status == NamedStatus::kOk) got = r.value.as_i64();
+  });
+  pool.wait_idle();
+  const double task_s = seconds_since(t0);
+  const RemoteBackendStats s = backend.stats();
+  pool.set_backend(nullptr);
+  EXPECT_EQ(got, 42);
+  EXPECT_EQ(s.leases - before.leases, 2u);  // the bracket + the call
+  EXPECT_EQ(s.completes - before.completes, 2u);
+  EXPECT_EQ(s.losses_recovered, 0u);
+  EXPECT_EQ(s.ignored_completes, 0u);
+  EXPECT_LT(task_s, cfg.complete_timeout / 4);
 }
 
 TEST(SubprocessNamed, ForkChildAnswersUnsupportedWithoutDesyncing) {

@@ -437,6 +437,179 @@ TEST(FakeTransportNamed, CallNamedFlushesAnOpenBatchWindowFirst) {
   EXPECT_EQ(s.leases, s.completes + s.losses_recovered);
 }
 
+// ------------------------------------------ pipelined window + named call --
+//
+// A named call that finds a batch window open ships the window's Submit and
+// its own kSubmitNamed together and settles both leases in one receive loop.
+// Each fault below must leave every lease accounted exactly once.
+
+/// One pool task's worth on a batched session: a bracket (fills the
+/// window), then a named call that pipelines the window's flush.
+NamedCallResult bracket_then_call(Remote& r, std::int64_t x) {
+  const std::uint64_t lease = r.backend.task_begin(0, 0);
+  EXPECT_EQ(lease != 0, r.backend.live_sessions() == 1);
+  if (lease != 0) r.backend.task_end(0, lease);
+  return r.backend.call_named(0, 5, PodValue::of_i64(x));
+}
+
+void expect_each_lease_once(const RemoteBackendStats& s) {
+  EXPECT_EQ(s.leases, s.completes + s.losses_recovered);
+}
+
+TEST(FakeTransportPipelined, WindowSubmitPrecedesTheNamedSubmitOnTheWire) {
+  Remote r(FakeFaultPlan{}, /*max_workers=*/8, /*connect_timeout=*/100.0,
+           /*lease_batch=*/16);
+  r.join(1);
+  const NamedCallResult res = bracket_then_call(r, 11);
+  ASSERT_TRUE(res.transported);
+  EXPECT_EQ(res.value, PodValue::of_i64(11));
+  const std::vector<std::string> trace = r.factory.trace();
+  std::size_t window = trace.size(), call = trace.size();
+  for (std::size_t k = 0; k < trace.size(); ++k) {
+    if (trace[k].find("submit seq=1 hint=0 n=1") != std::string::npos) window = k;
+    if (trace[k].find("submit-named seq=2") != std::string::npos) call = k;
+  }
+  ASSERT_LT(window, trace.size());
+  ASSERT_LT(call, trace.size());
+  EXPECT_LT(window, call);
+  const RemoteBackendStats s = r.backend.stats();
+  EXPECT_EQ(s.leases, 2u);
+  EXPECT_EQ(s.completes, 2u);
+  EXPECT_EQ(s.ignored_completes, 0u);
+  expect_each_lease_once(s);
+}
+
+TEST(FakeTransportPipelined, CrashOnTheWindowSubmitLeasesNeither) {
+  FakeFaultPlan plan;
+  plan.crash_worker = 0;
+  plan.crash_on_nth_task = 1;  // the window's Submit kills the worker
+  Remote r(plan, /*max_workers=*/8, /*connect_timeout=*/100.0,
+           /*lease_batch=*/16);
+  r.join(1);
+  const NamedCallResult res = bracket_then_call(r, 1);
+  EXPECT_FALSE(res.transported);
+  const RemoteBackendStats s = r.backend.stats();
+  // The named frame found the link dead, so the group send failed: neither
+  // lease was opened, nothing is left to recover.
+  EXPECT_EQ(s.leases, 0u);
+  EXPECT_EQ(s.losses_recovered, 0u);
+  EXPECT_EQ(s.batch_flushes, 0u);
+  expect_each_lease_once(s);
+  EXPECT_EQ(r.backend.live_sessions(), 0);
+}
+
+TEST(FakeTransportPipelined, CrashBetweenTheTwoFramesSettlesTheWindowLosesTheCall) {
+  FakeFaultPlan plan;
+  plan.crash_worker = 0;
+  plan.crash_on_nth_task = 2;  // served the window, died on the named frame
+  Remote r(plan, /*max_workers=*/8, /*connect_timeout=*/100.0,
+           /*lease_batch=*/16);
+  r.join(1);
+  const NamedCallResult res = bracket_then_call(r, 2);
+  EXPECT_FALSE(res.transported);
+  const RemoteBackendStats s = r.backend.stats();
+  EXPECT_EQ(s.leases, 2u);
+  EXPECT_EQ(s.completes, 1u);         // the window's Complete got out
+  EXPECT_EQ(s.losses_recovered, 1u);  // the call, recovered once
+  EXPECT_EQ(s.ignored_completes, 0u);
+  expect_each_lease_once(s);
+  EXPECT_EQ(r.backend.live_sessions(), 0);
+}
+
+TEST(FakeTransportPipelined, DroppedWindowCompleteRecoversOnlyTheWindow) {
+  FakeFaultPlan plan;
+  plan.drop_complete_every = 1;  // every window Complete vanishes
+  Remote r(plan, /*max_workers=*/8, /*connect_timeout=*/100.0,
+           /*lease_batch=*/16);
+  r.join(1);
+  for (int k = 0; k < 3; ++k) {
+    const NamedCallResult res = bracket_then_call(r, k);
+    ASSERT_TRUE(res.transported);  // the call itself resolved
+    EXPECT_EQ(res.value, PodValue::of_i64(k));
+  }
+  const RemoteBackendStats s = r.backend.stats();
+  EXPECT_EQ(s.leases, 6u);
+  EXPECT_EQ(s.completes, 3u);
+  EXPECT_EQ(s.losses_recovered, 3u);
+  expect_each_lease_once(s);
+  EXPECT_EQ(r.backend.live_sessions(), 1);  // a drop is not a crash
+}
+
+TEST(FakeTransportPipelined, DuplicatedWindowCompleteIsIgnored) {
+  FakeFaultPlan plan;
+  plan.dup_complete_every = 1;  // every window Complete delivered twice
+  Remote r(plan, /*max_workers=*/8, /*connect_timeout=*/100.0,
+           /*lease_batch=*/16);
+  r.join(1);
+  for (int k = 0; k < 3; ++k) {
+    ASSERT_TRUE(bracket_then_call(r, k).transported);
+    r.clock.advance(0.001);  // the duplicate (due +1us) becomes deliverable
+  }
+  const RemoteBackendStats s = r.backend.stats();
+  EXPECT_EQ(s.leases, 6u);
+  EXPECT_EQ(s.completes, 6u);
+  EXPECT_EQ(s.losses_recovered, 0u);
+  EXPECT_GE(s.ignored_completes, 2u);  // the duplicates surfaced and died
+  expect_each_lease_once(s);
+}
+
+TEST(FakeTransportPipelined, ReorderedWindowCompleteArrivesStaleAndIsIgnored) {
+  FakeFaultPlan plan;
+  plan.reorder_complete_every = 2;  // every 2nd window Complete held back
+  Remote r(plan, /*max_workers=*/8, /*connect_timeout=*/100.0,
+           /*lease_batch=*/16);
+  r.join(1);
+  for (int k = 0; k < 4; ++k) {
+    ASSERT_TRUE(bracket_then_call(r, k).transported);
+    r.clock.advance(0.001);
+  }
+  const RemoteBackendStats s = r.backend.stats();
+  // Windows 2 and 4 are held: recovered at their call's deadline. Window
+  // 2's Complete comes back after window 3's and is ignored as stale.
+  EXPECT_EQ(s.leases, 8u);
+  EXPECT_EQ(s.completes, 6u);
+  EXPECT_EQ(s.losses_recovered, 2u);
+  EXPECT_GE(s.ignored_completes, 1u);
+  expect_each_lease_once(s);
+  EXPECT_EQ(r.backend.live_sessions(), 1);
+}
+
+TEST(FakeTransportNamed, CallInsideAnUnbatchedBracketSettlesTheBracket) {
+  // lease_batch 1: the bracket's Complete is due before the call's result.
+  // The call must settle it rather than discard it as stale, or task_end
+  // waits for a frame already consumed and books a false loss.
+  Remote r(FakeFaultPlan{});
+  r.join(1);
+  const std::uint64_t lease = r.backend.task_begin(0, 0);
+  ASSERT_NE(lease, 0u);
+  const NamedCallResult res = r.backend.call_named(0, 5, PodValue::of_i64(9));
+  ASSERT_TRUE(res.transported);
+  r.backend.task_end(0, lease);
+  const RemoteBackendStats s = r.backend.stats();
+  EXPECT_EQ(s.leases, 2u);
+  EXPECT_EQ(s.completes, 2u);
+  EXPECT_EQ(s.losses_recovered, 0u);
+  EXPECT_EQ(s.ignored_completes, 0u);
+}
+
+TEST(FakeTransportNamed, CrashInsideAnUnbatchedBracketRecoversBothOnce) {
+  FakeFaultPlan plan;
+  plan.crash_worker = 0;
+  plan.crash_on_nth_task = 2;  // the bracket's Submit is served, the call's kills
+  plan.complete_latency = 0.001;  // the bracket's Complete is still in flight
+  Remote r(plan);
+  r.join(1);
+  const std::uint64_t lease = r.backend.task_begin(0, 0);
+  ASSERT_NE(lease, 0u);
+  EXPECT_FALSE(r.backend.call_named(0, 5, PodValue::of_i64(9)).transported);
+  r.backend.task_end(0, lease);  // already recovered with the dead session
+  const RemoteBackendStats s = r.backend.stats();
+  EXPECT_EQ(s.leases, 2u);
+  EXPECT_EQ(s.completes, 0u);
+  EXPECT_EQ(s.losses_recovered, 2u);
+  expect_each_lease_once(s);
+}
+
 // --------------------------------------- partition detection mid-batch ----
 
 TEST(FakeTransportBatch, SweepDetectsPartitionWithoutBurningAFlushLease) {
